@@ -54,7 +54,7 @@ func clusterSpecs() []chaosSpec {
 // bootCluster starts n engine-backed replicas on a HandlerTransport
 // plus a router over them. The returned stop function closes the
 // router and every engine.
-func bootCluster(t *testing.T, n int, tweak func(*router.Config)) (*router.Router, *router.HandlerTransport, func()) {
+func bootCluster(t testing.TB, n int, tweak func(*router.Config)) (*router.Router, *router.HandlerTransport, func()) {
 	t.Helper()
 	ht := router.NewHandlerTransport()
 	var urls []string
@@ -95,7 +95,7 @@ func bootCluster(t *testing.T, n int, tweak func(*router.Config)) (*router.Route
 }
 
 // clusterWait polls cond until it holds or the deadline passes.
-func clusterWait(t *testing.T, what string, cond func() bool) {
+func clusterWait(t testing.TB, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {

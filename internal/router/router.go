@@ -226,6 +226,7 @@ type Router struct {
 	mux    *http.ServeMux
 	rng    *rng
 	hedge  *latencyTracker
+	canon  canonMemo
 
 	draining atomic.Bool
 	stop     chan struct{}
@@ -483,7 +484,7 @@ func (r *Router) handleProxy(w http.ResponseWriter, req *http.Request) {
 	}
 
 	pickStart := time.Now()
-	key := affinityKey(req.URL.Path, body)
+	key := affinityKey(req.URL.Path, body, r.canon.canonical)
 	order := r.policy.order(key, r.reps)
 	r.reg.ObserveStage(obs.StageRouterPick, time.Since(pickStart))
 	if err := faultPick.Hit(req.Context()); err != nil {
@@ -656,6 +657,7 @@ func (r *Router) race(req *http.Request, body []byte, rep, hedgeRep *replica) *a
 	}
 	cancel1 := launch(rep)
 	defer cancel1()
+	// A lone attempt keeps its goroutine: inline, it raised peak RSS (DESIGN.md).
 	if hedgeRep == nil {
 		return <-results
 	}
@@ -760,8 +762,9 @@ func (r *Router) attempt(ctx context.Context, rep *replica, orig *http.Request, 
 // forms of the query/view patterns in the body, so equivalent queries
 // (same canonical pattern, different spelling) land on the same
 // replica and hit its rewrite cache. Requests the router cannot
-// decode key on their raw body, and GETs on their path.
-func affinityKey(path string, body []byte) string {
+// decode key on their raw body, and GETs on their path. canon maps one
+// expression to its canonical form: canonicalOr, or a memo of it.
+func affinityKey(path string, body []byte, canon func(string) string) string {
 	if len(body) == 0 {
 		return path
 	}
@@ -785,11 +788,11 @@ func affinityKey(path string, body []byte) string {
 	// A batch routes on its first item: batches assembled per canonical
 	// query group (the common shape) stay on their owner.
 	if len(probe.Items) > 0 {
-		return canonicalOr(probe.Items[0].Query) + "\x00" +
-			canonicalOr(probe.Items[0].View) + "\x00" + probe.Items[0].Schema
+		return canon(probe.Items[0].Query) + "\x00" +
+			canon(probe.Items[0].View) + "\x00" + probe.Items[0].Schema
 	}
 	if probe.P != "" || probe.Q != "" {
-		return canonicalOr(probe.P) + "\x00" + canonicalOr(probe.Q) + "\x00" + probe.Schema
+		return canon(probe.P) + "\x00" + canon(probe.Q) + "\x00" + probe.Schema
 	}
 	view := probe.View
 	if view == "" {
@@ -798,7 +801,7 @@ func affinityKey(path string, body []byte) string {
 	if probe.Query == "" && view == "" {
 		return string(body)
 	}
-	key := canonicalOr(probe.Query) + "\x00" + canonicalOr(view) + "\x00" + probe.Schema
+	key := canon(probe.Query) + "\x00" + canon(view) + "\x00" + probe.Schema
 	if probe.Recursive {
 		key += "\x00r"
 	}
@@ -817,6 +820,53 @@ func canonicalOr(expr string) string {
 		return expr
 	}
 	return p.Canonical()
+}
+
+// canonMemoBytes bounds a router's canonMemo: the text and canonical
+// form of every entry, plus canonMemoEntryBytes of map overhead each.
+const (
+	canonMemoBytes      = 1 << 20
+	canonMemoEntryBytes = 64
+)
+
+// canonMemo memoizes canonicalOr by expression text, so a request whose
+// query and view the router has seen before is keyed without a parse.
+// canonicalOr is a pure function of the text, so a stale entry cannot
+// exist; the memo is bounded by wholesale reset when full, like the
+// engine's interner, and losing it costs a reparse, never a different
+// route. The zero value is ready to use.
+type canonMemo struct {
+	mu    sync.Mutex
+	forms map[string]string // guarded by mu
+	bytes int               // guarded by mu
+}
+
+// canonical returns canonicalOr(expr), from the memo when it can.
+// An entry larger than the whole budget is computed but not stored.
+func (m *canonMemo) canonical(expr string) string {
+	m.mu.Lock()
+	c, ok := m.forms[expr]
+	m.mu.Unlock()
+	if ok {
+		return c
+	}
+	c = canonicalOr(expr)
+	size := len(expr) + len(c) + canonMemoEntryBytes
+	if size > canonMemoBytes {
+		return c
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, ok := m.forms[expr]; ok {
+		return c
+	}
+	if m.forms == nil || m.bytes+size > canonMemoBytes {
+		m.forms = make(map[string]string)
+		m.bytes = 0
+	}
+	m.forms[expr] = c
+	m.bytes += size
+	return c
 }
 
 // ReplicaStatus is the /v1/cluster view of one replica.

@@ -500,9 +500,9 @@ func TestPolicies(t *testing.T) {
 func TestAffinityKeyCanonicalizes(t *testing.T) {
 	// Two spellings of the same canonical pattern must produce the same
 	// routing key; a distinct pattern must not.
-	k1 := affinityKey("/v1/rewrite", []byte(`{"query":"//a[b][c]","view":"//a"}`))
-	k2 := affinityKey("/v1/rewrite", []byte(`{"query":"//a[c][b]","view":"//a"}`))
-	k3 := affinityKey("/v1/rewrite", []byte(`{"query":"//a[d]","view":"//a"}`))
+	k1 := affinityKey("/v1/rewrite", []byte(`{"query":"//a[b][c]","view":"//a"}`), canonicalOr)
+	k2 := affinityKey("/v1/rewrite", []byte(`{"query":"//a[c][b]","view":"//a"}`), canonicalOr)
+	k3 := affinityKey("/v1/rewrite", []byte(`{"query":"//a[d]","view":"//a"}`), canonicalOr)
 	if k1 != k2 {
 		t.Fatalf("equivalent patterns keyed differently:\n%q\n%q", k1, k2)
 	}
@@ -510,7 +510,7 @@ func TestAffinityKeyCanonicalizes(t *testing.T) {
 		t.Fatal("distinct patterns share a key")
 	}
 	// Unparsable bodies still key consistently.
-	if affinityKey("/v1/rewrite", []byte("junk")) != affinityKey("/v1/rewrite", []byte("junk")) {
+	if affinityKey("/v1/rewrite", []byte("junk"), canonicalOr) != affinityKey("/v1/rewrite", []byte("junk"), canonicalOr) {
 		t.Fatal("raw-body fallback unstable")
 	}
 }

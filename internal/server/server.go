@@ -43,6 +43,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -113,8 +114,9 @@ func NewService(eng *engine.Engine) *Service {
 // mux, the draining bit /healthz reports, and the in-flight request
 // gauge the health payload exposes for least-loaded routing.
 type Service struct {
-	eng *engine.Engine
-	mux *http.ServeMux
+	eng    *engine.Engine
+	mux    *http.ServeMux
+	bodies bodyMemo
 
 	draining atomic.Bool
 	inflight atomic.Int64
@@ -263,7 +265,72 @@ func (s *Service) handleRewrite(w http.ResponseWriter, r *http.Request) {
 		httpError(w, statusFor(err), err)
 		return
 	}
-	writeJSON(w, buildRewriteResponse(res))
+	s.writeRewrite(w, res)
+}
+
+// writeRewrite writes the /v1/rewrite body of res: exactly what
+// writeJSON(w, buildRewriteResponse(res)) writes, encoded once per
+// result and then served from the memo.
+func (s *Service) writeRewrite(w http.ResponseWriter, res *rewrite.Result) {
+	body, ok := s.bodies.get(res)
+	if !ok {
+		var err error
+		if body, err = encodeJSON(buildRewriteResponse(res)); err != nil {
+			httpError(w, http.StatusInternalServerError, err)
+			return
+		}
+		s.bodies.put(res, body)
+	}
+	writeBody(w, http.StatusOK, body)
+}
+
+// bodyMemoBytes bounds a Service's bodyMemo: the encoded bodies plus
+// bodyMemoEntryBytes of map overhead each. At a typical 0.2 KB body it
+// holds about as many entries as the engine's default cache (1024), so
+// the results it keeps alive are mostly ones the cache holds anyway.
+const (
+	bodyMemoBytes      = 256 << 10
+	bodyMemoEntryBytes = 64
+)
+
+// bodyMemo maps an engine result to its encoded /v1/rewrite body. A
+// cache hit returns the same immutable *rewrite.Result every time, so
+// the body — a pure function of the result — is encoded once per cached
+// result instead of once per request. The memo is bounded by wholesale
+// reset when full, like the engine's interner. The zero value is ready
+// to use.
+type bodyMemo struct {
+	mu     sync.Mutex
+	bodies map[*rewrite.Result][]byte // guarded by mu
+	bytes  int                        // guarded by mu
+}
+
+// get returns the memoized body of res. Callers must not modify it.
+func (m *bodyMemo) get(res *rewrite.Result) ([]byte, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	b, ok := m.bodies[res]
+	return b, ok
+}
+
+// put records body as the encoding of res. A body larger than the whole
+// budget is not stored.
+func (m *bodyMemo) put(res *rewrite.Result, body []byte) {
+	size := len(body) + bodyMemoEntryBytes
+	if size > bodyMemoBytes {
+		return
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, ok := m.bodies[res]; ok {
+		return
+	}
+	if m.bodies == nil || m.bytes+size > bodyMemoBytes {
+		m.bodies = make(map[*rewrite.Result][]byte)
+		m.bytes = 0
+	}
+	m.bodies[res] = body
+	m.bytes += size
 }
 
 func buildRewriteResponse(res *rewrite.Result) rewriteResponse {
@@ -631,16 +698,31 @@ func writeJSON(w http.ResponseWriter, v any) {
 // endpoints (like the draining /healthz) that serve a body alongside a
 // non-200 status.
 func writeJSONStatus(w http.ResponseWriter, code int, v any) {
+	body, err := encodeJSON(v)
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, err)
+		return
+	}
+	writeBody(w, code, body)
+}
+
+// encodeJSON renders v as every JSON response body is rendered:
+// two-space indented, newline-terminated.
+func encodeJSON(v any) ([]byte, error) {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(v); err != nil {
-		httpError(w, http.StatusInternalServerError, fmt.Errorf("encoding response: %w", err))
-		return
+		return nil, fmt.Errorf("encoding response: %w", err)
 	}
+	return buf.Bytes(), nil
+}
+
+// writeBody writes an encoded JSON body with its status code.
+func writeBody(w http.ResponseWriter, code int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	w.Write(buf.Bytes())
+	w.Write(body)
 }
 
 func httpError(w http.ResponseWriter, code int, err error) {

@@ -14,10 +14,10 @@ import "sync/atomic"
 // tree. The structured mutation API (mutate.go) and the in-package
 // builders invalidate the stamp in O(1) on any structural edit, and
 // Reindex issues a fresh stamp. Derived read-only metadata (the preorder
-// node list, tag set, height, canonical form) is cached on the Pattern
-// behind atomic pointers keyed by the stamp, so concurrent readers of an
-// indexed pattern never write to the nodes; racing cache fills compute
-// identical values and publish atomically.
+// node list, tag set, height, canonical and printed forms) is cached on
+// the Pattern behind atomic pointers keyed by the stamp, so concurrent
+// readers of an indexed pattern never write to the nodes; racing cache
+// fills compute identical values and publish atomically.
 //
 // Concurrency contract (matching the patmut immutability contract): a
 // pattern that is shared between goroutines must already be indexed —
@@ -157,26 +157,55 @@ func buildInfo(p *Pattern, st *treeStamp) *patternInfo {
 	return pi
 }
 
-// canonEntry caches the canonical form computed for one indexing pass.
+// Indexes of canonEntry.forms.
+const (
+	formCanonical = iota
+	formString
+)
+
+// canonEntry caches the printed forms of one indexing pass. Both forms
+// depend on the output node as well as the tree, and Output is a plain
+// field a caller can reassign without going through SetOutput, so the
+// entry is keyed on the pair: a reassigned output misses instead of
+// serving the old mark.
 type canonEntry struct {
-	stamp *treeStamp
-	s     string
+	stamp  *treeStamp
+	output *Node
+	forms  [2]string // by formCanonical/formString; "" until computed
 }
 
-// cachedCanonical returns the canonical form, serving repeated calls on
-// an indexed pattern from the per-stamp cache. Dirty patterns compute
-// without caching (they are being edited by their single owner).
-func (p *Pattern) cachedCanonical() string {
+// cachedForm returns the printed form which (formCanonical or
+// formString), serving repeated calls on an indexed pattern from the
+// per-stamp cache. Dirty patterns compute without caching (they are
+// being edited by their single owner). Racing fills of different forms
+// may drop one another's entry; the loser is recomputed on a later
+// call, never served stale.
+func (p *Pattern) cachedForm(which int) string {
 	st := p.Root.stamp
 	fresh := st != nil && st.valid
+	var e *canonEntry
 	if fresh {
-		if e := p.canon.Load(); e != nil && e.stamp == st {
-			return e.s
+		if e = p.canon.Load(); e != nil && e.stamp == st && e.output == p.Output {
+			if s := e.forms[which]; s != "" {
+				return s
+			}
+		} else {
+			e = nil
 		}
 	}
-	s := canonical(p.Root, p.Output)
+	var s string
+	if which == formString {
+		s = p.print()
+	} else {
+		s = canonical(p.Root, p.Output)
+	}
 	if fresh {
-		p.canon.Store(&canonEntry{stamp: st, s: s})
+		next := &canonEntry{stamp: st, output: p.Output}
+		if e != nil {
+			next.forms = e.forms
+		}
+		next.forms[which] = s
+		p.canon.Store(next)
 	}
 	return s
 }

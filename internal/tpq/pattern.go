@@ -103,7 +103,8 @@ type Pattern struct {
 
 	// info and canon cache derived read-only metadata per indexing pass
 	// (see index.go). Zero values are valid; both are keyed by the
-	// tree's stamp, so stale entries are ignored rather than consulted.
+	// tree's stamp (canon also by the output node), so stale entries are
+	// ignored rather than consulted.
 	info  infoCache
 	canon canonCache
 }
@@ -335,12 +336,12 @@ func canonical(n *Node, output *Node) string {
 // Two patterns are structurally identical (isomorphic respecting axes,
 // tags and the output mark) iff their canonical forms are equal. The
 // form is cached on indexed patterns (see Reindex) and recomputed after
-// every structural mutation.
+// every structural mutation or output change.
 func (p *Pattern) Canonical() string {
 	if p.Root == nil {
 		return ""
 	}
-	return p.cachedCanonical()
+	return p.cachedForm(formCanonical)
 }
 
 // StructuralEqual reports whether p and q are identical up to sibling
