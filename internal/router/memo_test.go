@@ -80,36 +80,45 @@ func memoCases(t testing.TB, seed int64, n int) (cases []keyCase, twins [][]byte
 
 // TestCanonMemoMatchesUncached checks that keying through the memo
 // gives exactly the uncached affinityKey, on first sight and on a hit,
-// and that canonical twins share one key.
+// that canonical twins share one key, and that a text too large to
+// memoize is still canonicalized.
 func TestCanonMemoMatchesUncached(t *testing.T) {
 	cases, twins := memoCases(t, 1, 200)
-	var m canonMemo
+	r := &Router{canon: newCanonMemo()}
 	for pass := 0; pass < 2; pass++ {
 		for i, c := range cases {
 			want := affinityKey(c.path, c.body, canonicalOr)
-			if got := affinityKey(c.path, c.body, m.canonical); got != want {
+			if got := affinityKey(c.path, c.body, r.canonical); got != want {
 				t.Fatalf("pass %d, %s %s: memoized key %q, uncached %q", pass, c.path, c.body, got, want)
 			}
 			if twins[i] == nil {
 				continue
 			}
-			if got := affinityKey(c.path, twins[i], m.canonical); got != want {
+			if got := affinityKey(c.path, twins[i], r.canonical); got != want {
 				t.Fatalf("twin of %s keyed %q, want %q", c.body, got, want)
 			}
 		}
 	}
+
+	huge := "//a" + strings.Repeat("[b]", canonMemoBytes/8+1)
+	if got, want := r.canonical(huge), canonicalOr(huge); got != want {
+		t.Fatal("oversized text: memo result differs from canonicalOr")
+	}
+	if _, ok := r.canon.Get(huge); ok {
+		t.Fatal("text larger than the memo budget was stored")
+	}
 }
 
-// TestCanonMemoConcurrent shares one memo between goroutines that key
-// the seeded bodies while others flood it with distinct texts, forcing
-// wholesale resets under load. Run with -race.
+// TestCanonMemoConcurrent shares one router's memo between goroutines
+// that key the seeded bodies while flooding the memo with distinct
+// texts, forcing wholesale resets under load. Run with -race.
 func TestCanonMemoConcurrent(t *testing.T) {
 	cases, _ := memoCases(t, 2, 50)
 	want := make([]string, len(cases))
 	for i, c := range cases {
 		want[i] = affinityKey(c.path, c.body, canonicalOr)
 	}
-	var m canonMemo
+	r := &Router{canon: newCanonMemo()}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -117,67 +126,16 @@ func TestCanonMemoConcurrent(t *testing.T) {
 			defer wg.Done()
 			for round := 0; round < 20; round++ {
 				for i, c := range cases {
-					if got := affinityKey(c.path, c.body, m.canonical); got != want[i] {
+					if got := affinityKey(c.path, c.body, r.canonical); got != want[i] {
 						t.Errorf("goroutine %d: key %q, want %q", g, got, want[i])
 						return
 					}
 					// A distinct text per step: 4×20×353 entries of about
 					// 300 bytes, eight times the budget.
-					m.canonical(fmt.Sprintf("//%s%d_%d_%d", strings.Repeat("t", 100), g, round, i))
+					r.canonical(fmt.Sprintf("//%s%d_%d_%d", strings.Repeat("t", 100), g, round, i))
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.bytes > canonMemoBytes {
-		t.Fatalf("memo holds %d bytes, budget %d", m.bytes, canonMemoBytes)
-	}
-}
-
-// TestCanonMemoBudget checks the accounting while the memo fills and
-// resets, and that an entry larger than the budget is computed but not
-// stored.
-func TestCanonMemoBudget(t *testing.T) {
-	var m canonMemo
-	sizes := func() (held, counted int) {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		for k, v := range m.forms {
-			held += len(k) + len(v) + canonMemoEntryBytes
-		}
-		return held, m.bytes
-	}
-	resets := 0
-	last := 0
-	for i := 0; i < 3000; i++ {
-		expr := fmt.Sprintf("//a/%s%d[f]", strings.Repeat("b", 200), i)
-		if got, want := m.canonical(expr), canonicalOr(expr); got != want {
-			t.Fatalf("canonical(%q) = %q, want %q", expr, got, want)
-		}
-		held, counted := sizes()
-		if held != counted || counted > canonMemoBytes {
-			t.Fatalf("after %d texts: counted %d bytes, held %d, budget %d", i+1, counted, held, canonMemoBytes)
-		}
-		if counted < last {
-			resets++
-		}
-		last = counted
-	}
-	if resets == 0 {
-		t.Fatal("3000 entries of ~0.5 KB never filled the 1 MB budget")
-	}
-
-	huge := "//a" + strings.Repeat("[b]", canonMemoBytes/8+1)
-	_, before := sizes()
-	if got, want := m.canonical(huge), canonicalOr(huge); got != want {
-		t.Fatal("oversized text: memo result differs from canonicalOr")
-	}
-	m.mu.Lock()
-	_, stored := m.forms[huge]
-	m.mu.Unlock()
-	if _, after := sizes(); stored || after != before {
-		t.Fatalf("oversized entry stored (%v) or accounted (%d -> %d bytes)", stored, before, after)
-	}
 }

@@ -53,6 +53,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"qav/internal/cache"
 	"qav/internal/fault"
 	"qav/internal/guard"
 	"qav/internal/names"
@@ -226,7 +227,7 @@ type Router struct {
 	mux    *http.ServeMux
 	rng    *rng
 	hedge  *latencyTracker
-	canon  canonMemo
+	canon  *cache.Memo[string, string] // expression text -> canonicalOr
 
 	draining atomic.Bool
 	stop     chan struct{}
@@ -245,6 +246,7 @@ func New(cfg Config) (*Router, error) {
 		reg:   cfg.Metrics,
 		rng:   newRNG(cfg.Seed),
 		hedge: newLatencyTracker(cfg.HedgeQuantile),
+		canon: newCanonMemo(),
 		stop:  make(chan struct{}),
 	}
 	switch cfg.Policy {
@@ -484,7 +486,7 @@ func (r *Router) handleProxy(w http.ResponseWriter, req *http.Request) {
 	}
 
 	pickStart := time.Now()
-	key := affinityKey(req.URL.Path, body, r.canon.canonical)
+	key := affinityKey(req.URL.Path, body, r.canonical)
 	order := r.policy.order(key, r.reps)
 	r.reg.ObserveStage(obs.StageRouterPick, time.Since(pickStart))
 	if err := faultPick.Hit(req.Context()); err != nil {
@@ -822,50 +824,25 @@ func canonicalOr(expr string) string {
 	return p.Canonical()
 }
 
-// canonMemoBytes bounds a router's canonMemo: the text and canonical
-// form of every entry, plus canonMemoEntryBytes of map overhead each.
-const (
-	canonMemoBytes      = 1 << 20
-	canonMemoEntryBytes = 64
-)
+// canonMemoBytes bounds a router's memo of canonicalOr: the text and
+// canonical form of every entry (plus cache.MemoEntryBytes each).
+const canonMemoBytes = 1 << 20
 
-// canonMemo memoizes canonicalOr by expression text, so a request whose
-// query and view the router has seen before is keyed without a parse.
-// canonicalOr is a pure function of the text, so a stale entry cannot
-// exist; the memo is bounded by wholesale reset when full, like the
-// engine's interner, and losing it costs a reparse, never a different
-// route. The zero value is ready to use.
-type canonMemo struct {
-	mu    sync.Mutex
-	forms map[string]string // guarded by mu
-	bytes int               // guarded by mu
+// newCanonMemo returns an empty memo of canonicalOr by expression text.
+func newCanonMemo() *cache.Memo[string, string] {
+	return cache.NewMemo(canonMemoBytes, func(expr, form string) int { return len(expr) + len(form) })
 }
 
-// canonical returns canonicalOr(expr), from the memo when it can.
-// An entry larger than the whole budget is computed but not stored.
-func (m *canonMemo) canonical(expr string) string {
-	m.mu.Lock()
-	c, ok := m.forms[expr]
-	m.mu.Unlock()
-	if ok {
+// canonical returns canonicalOr(expr), from the router's memo when it
+// can, so a request whose query and view the router has seen before is
+// keyed without a parse. canonicalOr is a pure function of the text:
+// losing an entry costs a reparse, never a different route.
+func (r *Router) canonical(expr string) string {
+	if c, ok := r.canon.Get(expr); ok {
 		return c
 	}
-	c = canonicalOr(expr)
-	size := len(expr) + len(c) + canonMemoEntryBytes
-	if size > canonMemoBytes {
-		return c
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.forms[expr]; ok {
-		return c
-	}
-	if m.forms == nil || m.bytes+size > canonMemoBytes {
-		m.forms = make(map[string]string)
-		m.bytes = 0
-	}
-	m.forms[expr] = c
-	m.bytes += size
+	c := canonicalOr(expr)
+	r.canon.Put(expr, c)
 	return c
 }
 

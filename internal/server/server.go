@@ -43,10 +43,10 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
+	"qav/internal/cache"
 	"qav/internal/engine"
 	"qav/internal/fault"
 	"qav/internal/guard"
@@ -88,7 +88,7 @@ func NewWith(eng *engine.Engine) http.Handler {
 // needs: StartDraining (health goes 503 before the listener dies) and
 // the Health load report.
 func NewService(eng *engine.Engine) *Service {
-	s := &Service{eng: eng}
+	s := &Service{eng: eng, bodies: newBodyMemo()}
 	reg := eng.Metrics()
 	mux := http.NewServeMux()
 	handle := func(pattern string, h http.HandlerFunc) {
@@ -116,7 +116,7 @@ func NewService(eng *engine.Engine) *Service {
 type Service struct {
 	eng    *engine.Engine
 	mux    *http.ServeMux
-	bodies bodyMemo
+	bodies *cache.Memo[*rewrite.Result, []byte] // result -> encoded /v1/rewrite body
 
 	draining atomic.Bool
 	inflight atomic.Int64
@@ -270,67 +270,40 @@ func (s *Service) handleRewrite(w http.ResponseWriter, r *http.Request) {
 
 // writeRewrite writes the /v1/rewrite body of res: exactly what
 // writeJSON(w, buildRewriteResponse(res)) writes, encoded once per
-// result and then served from the memo.
+// cached result and then served from the memo. A Partial result is
+// encoded every time: the engine's cache never stores one, so its
+// pointer is new on every request and an entry could never hit.
 func (s *Service) writeRewrite(w http.ResponseWriter, res *rewrite.Result) {
-	body, ok := s.bodies.get(res)
+	body, ok := s.bodies.Get(res)
 	if !ok {
 		var err error
 		if body, err = encodeJSON(buildRewriteResponse(res)); err != nil {
 			httpError(w, http.StatusInternalServerError, err)
 			return
 		}
-		s.bodies.put(res, body)
+		if !res.Partial {
+			s.bodies.Put(res, body)
+		}
 	}
 	writeBody(w, http.StatusOK, body)
 }
 
-// bodyMemoBytes bounds a Service's bodyMemo: the encoded bodies plus
-// bodyMemoEntryBytes of map overhead each. At a typical 0.2 KB body it
-// holds about as many entries as the engine's default cache (1024), so
-// the results it keeps alive are mostly ones the cache holds anyway.
-const (
-	bodyMemoBytes      = 256 << 10
-	bodyMemoEntryBytes = 64
-)
+// bodyMemoBytes bounds the encoded bodies a Service memoizes (plus
+// cache.MemoEntryBytes each). At a typical 0.2 KB body it holds about
+// as many entries as the engine's default cache (1024). The budget
+// bounds the bodies, not the results they pin: every entry keeps its
+// *rewrite.Result (patterns and CRs) alive as the key, including
+// results the engine's LRU has since evicted, until the next wholesale
+// reset drops them.
+const bodyMemoBytes = 256 << 10
 
-// bodyMemo maps an engine result to its encoded /v1/rewrite body. A
-// cache hit returns the same immutable *rewrite.Result every time, so
-// the body — a pure function of the result — is encoded once per cached
-// result instead of once per request. The memo is bounded by wholesale
-// reset when full, like the engine's interner. The zero value is ready
-// to use.
-type bodyMemo struct {
-	mu     sync.Mutex
-	bodies map[*rewrite.Result][]byte // guarded by mu
-	bytes  int                        // guarded by mu
-}
-
-// get returns the memoized body of res. Callers must not modify it.
-func (m *bodyMemo) get(res *rewrite.Result) ([]byte, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	b, ok := m.bodies[res]
-	return b, ok
-}
-
-// put records body as the encoding of res. A body larger than the whole
-// budget is not stored.
-func (m *bodyMemo) put(res *rewrite.Result, body []byte) {
-	size := len(body) + bodyMemoEntryBytes
-	if size > bodyMemoBytes {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.bodies[res]; ok {
-		return
-	}
-	if m.bodies == nil || m.bytes+size > bodyMemoBytes {
-		m.bodies = make(map[*rewrite.Result][]byte)
-		m.bytes = 0
-	}
-	m.bodies[res] = body
-	m.bytes += size
+// newBodyMemo returns an empty memo from an engine result to its
+// encoded /v1/rewrite body. A cache hit returns the same immutable
+// *rewrite.Result every time, so the body, a pure function of the
+// result, is encoded once per cached result instead of once per
+// request.
+func newBodyMemo() *cache.Memo[*rewrite.Result, []byte] {
+	return cache.NewMemo(bodyMemoBytes, func(_ *rewrite.Result, body []byte) int { return len(body) })
 }
 
 func buildRewriteResponse(res *rewrite.Result) rewriteResponse {

@@ -117,14 +117,17 @@ func TestMutationMaintainsLabels(t *testing.T) {
 		p := randomPattern(rng, alphabet, 8)
 		for step := 0; step < 4; step++ {
 			op := applyRandomMutation(rng, p)
+			// Read the form before anything reindexes p: the entry cached
+			// before the mutation must not be served.
+			dirty := p.Canonical()
 			if err := p.Validate(); err != nil {
 				t.Fatalf("after %s: %v", op, err)
 			}
 			// A fresh clone is indexed from scratch; the mutated pattern
 			// must agree with it on every derived quantity.
 			fresh, m := p.Clone()
-			if got, want := p.Canonical(), fresh.Canonical(); got != want {
-				t.Fatalf("after %s: Canonical %q, fresh clone says %q", op, got, want)
+			if got, want := p.Canonical(), fresh.Canonical(); got != want || dirty != want {
+				t.Fatalf("after %s: Canonical %q (%q before reindexing), fresh clone says %q", op, got, dirty, want)
 			}
 			if got, want := p.Size(), fresh.Size(); got != want {
 				t.Fatalf("after %s: Size %d, fresh clone says %d", op, got, want)
@@ -142,6 +145,9 @@ func TestMutationMaintainsLabels(t *testing.T) {
 					t.Fatalf("after %s: OnDistinguishedPath = %v, fresh clone says %v", op, got, want)
 				}
 			}
+			// Fill the canonical-form cache of the reindexed pattern, so
+			// the next mutation must invalidate a cached entry.
+			p.Canonical()
 		}
 	}
 }

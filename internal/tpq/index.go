@@ -14,10 +14,11 @@ import "sync/atomic"
 // tree. The structured mutation API (mutate.go) and the in-package
 // builders invalidate the stamp in O(1) on any structural edit, and
 // Reindex issues a fresh stamp. Derived read-only metadata (the preorder
-// node list, tag set, height, canonical and printed forms) is cached on
-// the Pattern behind atomic pointers keyed by the stamp, so concurrent
-// readers of an indexed pattern never write to the nodes; racing cache
-// fills compute identical values and publish atomically.
+// node list, tag set, height, distinguished path, canonical form) is
+// cached on the Pattern behind atomic pointers keyed by the stamp and
+// the output node, so concurrent readers of an indexed pattern never
+// write to the nodes; racing cache fills compute identical values and
+// publish atomically.
 //
 // Concurrency contract (matching the patmut immutability contract): a
 // pattern that is shared between goroutines must already be indexed —
@@ -81,9 +82,13 @@ func (p *Pattern) Reindex() {
 	p.canon.Store(nil)
 }
 
-// patternInfo is the derived read-only metadata of one indexing pass.
+// patternInfo is the derived read-only metadata of one indexing pass
+// and one output node: outDepth and onPath follow Output, a plain field
+// a caller can reassign without going through SetOutput, so the info is
+// keyed on both and a reassigned output rebuilds it.
 type patternInfo struct {
-	stamp *treeStamp
+	stamp  *treeStamp
+	output *Node
 	// nodes is the preorder node list; nodes[i].pre == i. Callers must
 	// not modify it.
 	nodes []*Node
@@ -113,7 +118,7 @@ func (p *Pattern) index() *patternInfo {
 		p.Reindex()
 		st = p.Root.stamp
 	}
-	if pi := p.info.Load(); pi != nil && pi.stamp == st {
+	if pi := p.info.Load(); pi != nil && pi.stamp == st && pi.output == p.Output {
 		return pi
 	}
 	pi := buildInfo(p, st)
@@ -126,6 +131,7 @@ func (p *Pattern) index() *patternInfo {
 func buildInfo(p *Pattern, st *treeStamp) *patternInfo {
 	pi := &patternInfo{
 		stamp:    st,
+		output:   p.Output,
 		nodes:    make([]*Node, p.Root.end+1),
 		outDepth: -1,
 		tags:     make(map[string]int),
@@ -157,55 +163,31 @@ func buildInfo(p *Pattern, st *treeStamp) *patternInfo {
 	return pi
 }
 
-// Indexes of canonEntry.forms.
-const (
-	formCanonical = iota
-	formString
-)
-
-// canonEntry caches the printed forms of one indexing pass. Both forms
-// depend on the output node as well as the tree, and Output is a plain
-// field a caller can reassign without going through SetOutput, so the
-// entry is keyed on the pair: a reassigned output misses instead of
-// serving the old mark.
+// canonEntry caches the canonical form computed for one indexing pass.
+// The form depends on the output node as well as the tree, and Output
+// is a plain field a caller can reassign without going through
+// SetOutput, so the entry is keyed on the pair: a reassigned output
+// misses instead of serving the old mark.
 type canonEntry struct {
 	stamp  *treeStamp
 	output *Node
-	forms  [2]string // by formCanonical/formString; "" until computed
+	s      string
 }
 
-// cachedForm returns the printed form which (formCanonical or
-// formString), serving repeated calls on an indexed pattern from the
-// per-stamp cache. Dirty patterns compute without caching (they are
-// being edited by their single owner). Racing fills of different forms
-// may drop one another's entry; the loser is recomputed on a later
-// call, never served stale.
-func (p *Pattern) cachedForm(which int) string {
+// cachedCanonical returns the canonical form, serving repeated calls on
+// an indexed pattern from the per-stamp cache. Dirty patterns compute
+// without caching (they are being edited by their single owner).
+func (p *Pattern) cachedCanonical() string {
 	st := p.Root.stamp
 	fresh := st != nil && st.valid
-	var e *canonEntry
 	if fresh {
-		if e = p.canon.Load(); e != nil && e.stamp == st && e.output == p.Output {
-			if s := e.forms[which]; s != "" {
-				return s
-			}
-		} else {
-			e = nil
+		if e := p.canon.Load(); e != nil && e.stamp == st && e.output == p.Output {
+			return e.s
 		}
 	}
-	var s string
-	if which == formString {
-		s = p.print()
-	} else {
-		s = canonical(p.Root, p.Output)
-	}
+	s := canonical(p.Root, p.Output)
 	if fresh {
-		next := &canonEntry{stamp: st, output: p.Output}
-		if e != nil {
-			next.forms = e.forms
-		}
-		next.forms[which] = s
-		p.canon.Store(next)
+		p.canon.Store(&canonEntry{stamp: st, output: p.Output, s: s})
 	}
 	return s
 }

@@ -2,7 +2,6 @@ package tpq
 
 import (
 	"errors"
-	"math/rand"
 	"testing"
 )
 
@@ -219,56 +218,29 @@ func TestDistinguishedPath(t *testing.T) {
 	}
 }
 
-// TestCanonicalTracksOutputReassignment pins the cache key of the
-// printed forms: Output is a plain field, and reassigning it without
-// SetOutput must not serve the form cached for the old output.
+// TestCanonicalTracksOutputReassignment pins the cache keys of the
+// output-dependent metadata: Output is a plain field, and reassigning it
+// without SetOutput must not serve the canonical form, output depth or
+// distinguished path cached for the old output.
 func TestCanonicalTracksOutputReassignment(t *testing.T) {
 	p := MustParse("//a[b]//c")
+	b, c := p.Root.Children[0], p.Root.Children[1]
 	p.Canonical()
-	_ = p.String()
-	p.Output = p.Root.Children[0]
-	want := MustParse(p.print()).Canonical()
+	if p.OutputDepth() != 1 || !p.OnDistinguishedPath(c) || p.OnDistinguishedPath(b) {
+		t.Fatalf("before: OutputDepth %d, on path c=%v b=%v", p.OutputDepth(), p.OnDistinguishedPath(c), p.OnDistinguishedPath(b))
+	}
+	p.Output = b
+	want := MustParse(p.String()).Canonical()
 	if got := p.Canonical(); got != want {
 		t.Errorf("Canonical after output change = %q, fresh parse of the print says %q", got, want)
 	}
-	if got, want := p.String(), p.print(); got != want {
-		t.Errorf("String after output change = %q, uncached print %q", got, want)
+	if p.OutputDepth() != 1 || !p.OnDistinguishedPath(b) || p.OnDistinguishedPath(c) {
+		t.Errorf("after: OutputDepth %d, on path b=%v c=%v; want 1, true, false",
+			p.OutputDepth(), p.OnDistinguishedPath(b), p.OnDistinguishedPath(c))
 	}
-}
-
-// TestStringCacheFollowsMutations fills the printed-form cache, applies
-// each structured mutation, and checks String against an uncached print
-// both before and after the next indexing pass.
-func TestStringCacheFollowsMutations(t *testing.T) {
-	ops := map[string]func(p *Pattern){
-		"SetOutput":     func(p *Pattern) { p.SetOutput(p.Root.Children[1]) },
-		"SetAxis":       func(p *Pattern) { p.Root.Children[0].SetAxis(Descendant) },
-		"RemoveChildAt": func(p *Pattern) { p.Root.RemoveChildAt(0) },
-		"AdoptChildren": func(p *Pattern) { p.Root.AdoptChildren(p.Root.Children[0]) },
-		"SpliceAbove":   func(p *Pattern) { p.Root.SpliceAbove(0, Descendant, "s") },
-	}
-	for name, op := range ops {
-		p := MustParse("//a[b/d][e]//c")
-		before := p.String()
-		op(p)
-		if got, want := p.String(), p.print(); got != want || got == before {
-			t.Errorf("%s: String = %q, uncached print %q (before: %q)", name, got, want, before)
-		}
-		p.Reindex()
-		if got, want := p.String(), p.print(); got != want {
-			t.Errorf("%s after Reindex: String = %q, uncached print %q", name, got, want)
-		}
-	}
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 300; trial++ {
-		p := randomPattern(rng, []string{"a", "b", "c"}, 8)
-		for step := 0; step < 4; step++ {
-			p.Size() // reindex after the previous step, so the fill is cached
-			_ = p.String()
-			op := applyRandomMutation(rng, p)
-			if got, want := p.String(), p.print(); got != want {
-				t.Fatalf("after %s: String = %q, uncached print %q", op, got, want)
-			}
-		}
+	p.Output = p.Root
+	if p.OutputDepth() != 0 || p.OnDistinguishedPath(b) || !p.OnDistinguishedPath(p.Root) {
+		t.Errorf("output at root: OutputDepth %d, on path b=%v root=%v; want 0, false, true",
+			p.OutputDepth(), p.OnDistinguishedPath(b), p.OnDistinguishedPath(p.Root))
 	}
 }

@@ -103,8 +103,8 @@ type Pattern struct {
 
 	// info and canon cache derived read-only metadata per indexing pass
 	// (see index.go). Zero values are valid; both are keyed by the
-	// tree's stamp (canon also by the output node), so stale entries are
-	// ignored rather than consulted.
+	// tree's stamp and the output node, so stale entries are ignored
+	// rather than consulted.
 	info  infoCache
 	canon canonCache
 }
@@ -341,7 +341,7 @@ func (p *Pattern) Canonical() string {
 	if p.Root == nil {
 		return ""
 	}
-	return p.cachedForm(formCanonical)
+	return p.cachedCanonical()
 }
 
 // StructuralEqual reports whether p and q are identical up to sibling

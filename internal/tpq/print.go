@@ -5,16 +5,11 @@ import "strings"
 // String renders the pattern as an XPath expression in XP{/,//,[]}.
 // The main path is the distinguished path; all other subtrees are
 // printed as predicates. Parse(p.String()) reproduces p up to sibling
-// order. The text is cached next to Canonical (see index.go).
+// order.
 func (p *Pattern) String() string {
 	if p.Root == nil {
 		return ""
 	}
-	return p.cachedForm(formString)
-}
-
-// print renders the pattern without consulting the cache.
-func (p *Pattern) print() string {
 	var b strings.Builder
 	path := p.DistinguishedPath()
 	onPath := make(map[*Node]bool, len(path))
