@@ -2,7 +2,7 @@ GO ?= go
 QAVLINT := $(CURDIR)/bin/qavlint
 FUZZTIME ?= 10s
 
-.PHONY: all build test race lint lint-self qavlint fmt fuzz chaos cluster clean
+.PHONY: all build test race lint lint-self qavlint fmt fuzz chaos cluster bench-check clean
 
 all: build test lint
 
@@ -51,6 +51,12 @@ cluster:
 	QAV_CHAOS_SEED=$(CHAOS_SEED) QAV_CHAOS_RUNS=$(CHAOS_RUNS) \
 		$(GO) test -race -run '^TestCluster' -v .
 	$(GO) test -race ./internal/router
+
+# bench-check vets and tests the bench module: bench/ is its own Go
+# module, so the root ./... patterns never compile it, and an engine API
+# change could otherwise break bench/run.sh with the root suite green.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # fuzz smoke-runs every fuzz target for FUZZTIME each.
 fuzz:

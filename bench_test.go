@@ -14,8 +14,8 @@ import (
 	"qav/internal/chase"
 	"qav/internal/constraints"
 	"qav/internal/engine"
+	"qav/internal/plan"
 	"qav/internal/rewrite"
-	"qav/internal/structjoin"
 	"qav/internal/tpq"
 	"qav/internal/workload"
 )
@@ -259,7 +259,10 @@ func BenchmarkEngines(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ix := structjoin.Build(d)
+	f, err := plan.IndexDocument(context.Background(), d)
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, expr := range []string{"//Trials[//Status]//Trial/Patient", "//Status"} {
 		q := tpq.MustParse(expr)
 		b.Run("treedp/"+expr, func(b *testing.B) {
@@ -269,7 +272,7 @@ func BenchmarkEngines(b *testing.B) {
 		})
 		b.Run("structjoin/"+expr, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				ix.Evaluate(context.Background(), q)
+				plan.EvaluateIndexed(context.Background(), f, q)
 			}
 		})
 	}

@@ -51,7 +51,11 @@ func coldstartRun(ctx context.Context, seed int64) ([]kernelResult, coldstartSum
 		i := 0
 		return func() {
 			r := reqs[i%len(reqs)]
-			if _, err := e.RewriteExpr(ctx, engine.RewriteRequest{Query: r[0], View: r[1]}); err != nil {
+			req, err := e.Parse(engine.OpRewrite, engine.Text{Query: r[0], View: r[1]})
+			if err == nil {
+				_, err = e.Rewrite(ctx, req)
+			}
+			if err != nil {
 				panic(err)
 			}
 			i++

@@ -30,7 +30,6 @@ import (
 	"qav/internal/engine"
 	"qav/internal/plan"
 	"qav/internal/rewrite"
-	"qav/internal/structjoin"
 	"qav/internal/tpq"
 	"qav/internal/viewselect"
 	"qav/internal/workload"
@@ -411,8 +410,13 @@ func expEngines(ctx context.Context, eng *engine.Engine, seed int64) {
 		if err != nil {
 			panic(err)
 		}
-		var ix *structjoin.Index
-		tBuild := timeIt(3, func() { ix = structjoin.Build(d) })
+		var f *plan.Forest
+		tBuild := timeIt(3, func() {
+			var err error
+			if f, err = plan.IndexDocument(ctx, d); err != nil {
+				panic(err)
+			}
+		})
 		for _, expr := range []string{
 			"//Trials[//Status]//Trial/Patient", // selective predicate
 			"//Trials//Trial",                   // unselective
@@ -421,7 +425,7 @@ func expEngines(ctx context.Context, eng *engine.Engine, seed int64) {
 			q := tpq.MustParse(expr)
 			tDP := timeIt(3, func() { q.Evaluate(d) })
 			tSJ := timeIt(3, func() {
-				if _, err := ix.Evaluate(ctx, q); err != nil {
+				if _, err := plan.EvaluateIndexed(ctx, f, q); err != nil {
 					panic(err)
 				}
 			})

@@ -199,7 +199,7 @@ func cmdAnswer(ctx context.Context, eng *engine.Engine, args []string) error {
 			fmt.Fprintln(os.Stderr, "warning: document does not conform to schema:", err)
 		}
 	}
-	ans, err := eng.AnswerDoc(ctx, engine.Request{Query: q, View: v, Schema: g, PlanBackend: be}, d)
+	ans, err := eng.Answer(ctx, engine.Request{Query: q, View: v, Schema: g, PlanBackend: be, Document: d})
 	if errors.Is(err, engine.ErrNotAnswerable) {
 		return fmt.Errorf("query is not answerable using the view")
 	}
@@ -332,7 +332,7 @@ func cmdConstraints(eng *engine.Engine, args []string) error {
 	if err != nil {
 		return err
 	}
-	sigma := eng.Constraints(s)
+	sigma := eng.SchemaContext(s).Sigma
 	fmt.Printf("%d constraint(s) implied by the schema:\n%s\n", sigma.Len(), sigma)
 	return nil
 }
@@ -441,7 +441,7 @@ func cmdMediate(ctx context.Context, eng *engine.Engine, args []string) error {
 	}
 	fmt.Printf("stored view %s: %d tree(s)\n", m.Expr, len(m.Forest))
 	eng.RegisterView(*viewFile, m)
-	sa, err := eng.AnswerStoredView(ctx, q, *viewFile, be)
+	sa, err := eng.Answer(ctx, engine.Request{Query: q, ViewName: *viewFile, PlanBackend: be})
 	if errors.Is(err, engine.ErrNotAnswerable) {
 		return fmt.Errorf("query is not answerable using the stored view")
 	}

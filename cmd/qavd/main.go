@@ -54,7 +54,6 @@ func main() {
 	readTimeout := flag.Duration("read-timeout", 30*time.Second, "http.Server ReadTimeout")
 	writeTimeout := flag.Duration("write-timeout", 60*time.Second, "http.Server WriteTimeout")
 	idleTimeout := flag.Duration("idle-timeout", 2*time.Minute, "http.Server IdleTimeout for keep-alive connections")
-	topKViews := flag.Int("topk-views", 0, "cap multi-view rewriting to the K signature-tightest candidate views (0 = all)")
 	cacheDir := flag.String("cache-dir", "", "directory for the persistent rewrite-cache segment (empty = memory-only)")
 	snapshotInterval := flag.Duration("snapshot-interval", 0, "periodic segment compaction interval (0 = never; requires -cache-dir)")
 	flag.Parse()
@@ -78,7 +77,6 @@ func main() {
 		SlowQueryThreshold: *slowQuery,
 		SlowLogSize:        *slowLogSize,
 		Gate:               gate,
-		TopKViews:          *topKViews,
 		CacheDir:           *cacheDir,
 		SnapshotInterval:   *snapshotInterval,
 	})

@@ -37,7 +37,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":8090", "listen address")
 	replicas := flag.String("replicas", "", "comma-separated qavd base URLs (required)")
-	policy := flag.String("policy", "affinity", "routing policy: affinity, roundrobin or leastloaded")
+	policy := flag.String("policy", "affinity", "routing policy: affinity or roundrobin")
 	seed := flag.Int64("seed", 1, "seed for jittered durations (breaker cooldowns, retry backoff)")
 	probeInterval := flag.Duration("probe-interval", time.Second, "health probe spacing per replica (jittered)")
 	attemptTimeout := flag.Duration("attempt-timeout", 10*time.Second, "per-attempt deadline against a replica")

@@ -26,13 +26,11 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
 	"qav/internal/cache"
 	"qav/internal/chase"
-	"qav/internal/constraints"
 	"qav/internal/fault"
 	"qav/internal/guard"
 	"qav/internal/limits"
@@ -50,16 +48,17 @@ import (
 // rewriting (no-op unless a chaos plan arms it; see internal/fault).
 var faultCompute = fault.Register(names.FaultEngineCompute)
 
-// ErrNotAnswerable is returned by the Answer methods when the query has
-// no contained rewriting using the view.
+// ErrNotAnswerable is returned by Answer when the query has no
+// contained rewriting using the view.
 var ErrNotAnswerable = errors.New("engine: query is not answerable using the view")
 
-// ErrUnknownView is returned by AnswerStored for an unregistered view.
+// ErrUnknownView is returned by Answer when the request's ViewName
+// names no registered view.
 var ErrUnknownView = errors.New("engine: no stored view with that name")
 
 // An InvalidRequestError reports an unparsable request input. Field
 // names the offending input: "query", "view", "schema", "document",
-// "p", or "q".
+// "backend", "name", "p", or "q".
 type InvalidRequestError struct {
 	Field string
 	Err   error
@@ -79,10 +78,6 @@ type Config struct {
 	// Timeout, when positive, imposes a per-call deadline on requests
 	// whose context does not already carry one.
 	Timeout time.Duration
-	// MaxSchemaContexts bounds the per-schema constraint-context cache;
-	// <= 0 means 64. Mediators see few distinct schemas, so the bound
-	// only guards against adversarial schema churn.
-	MaxSchemaContexts int
 	// Metrics receives the engine's observations (per-stage pipeline
 	// timings; the HTTP layer adds per-endpoint metrics to the same
 	// registry). nil means a private registry — metrics are always on;
@@ -101,11 +96,6 @@ type Config struct {
 	// singleflight followers bypass the gate — they do not add compute
 	// load. nil means unlimited admission.
 	Gate *limits.Gate
-	// TopKViews, when positive, caps every multi-view rewriting
-	// (RewriteAllViews) to the K candidate views the catalog's signature
-	// index ranks tightest for the query — a recall/latency dial for
-	// very large catalogs. 0 considers every view.
-	TopKViews int
 	// CacheDir, when non-empty, enables the persistent second cache
 	// tier: completed rewritings are appended asynchronously to a
 	// checksummed segment file under this directory and replayed at
@@ -121,6 +111,11 @@ type Config struct {
 	// entries, dropping superseded duplicates. 0 never compacts.
 	SnapshotInterval time.Duration
 }
+
+// maxSchemaContexts bounds the per-schema constraint-context cache.
+// Mediators see few distinct schemas, so the bound only guards against
+// adversarial schema churn.
+const maxSchemaContexts = 64
 
 // Engine is the shared rewriting pipeline. It is safe for concurrent
 // use by multiple goroutines.
@@ -157,9 +152,6 @@ func New(cfg Config) *Engine {
 	size := cfg.CacheSize
 	if size <= 0 {
 		size = 1024
-	}
-	if cfg.MaxSchemaContexts <= 0 {
-		cfg.MaxSchemaContexts = 64
 	}
 	if cfg.SlowLogSize <= 0 {
 		cfg.SlowLogSize = 128
@@ -280,7 +272,7 @@ func (e *Engine) SchemaContext(g *schema.Graph) *rewrite.SchemaContext {
 	if cached, ok := e.schemas[key]; ok {
 		sc = cached
 	} else {
-		if len(e.schemas) >= e.cfg.MaxSchemaContexts {
+		if len(e.schemas) >= maxSchemaContexts {
 			// Cheap wholesale reset; a mediator sees few schemas, so
 			// this only fires under schema churn.
 			e.schemas = make(map[string]*rewrite.SchemaContext)
@@ -291,13 +283,9 @@ func (e *Engine) SchemaContext(g *schema.Graph) *rewrite.SchemaContext {
 	return sc
 }
 
-// Constraints returns the constraint set the schema implies, via the
-// cached SchemaContext.
-func (e *Engine) Constraints(g *schema.Graph) *constraints.Set {
-	return e.SchemaContext(g).Sigma
-}
-
-// Request is a fully parsed rewriting request.
+// Request is a fully parsed request for one of the paper's operations:
+// Rewrite reads Query, View and Schema; Answer additionally reads
+// Document or ViewName.
 type Request struct {
 	Query *tpq.Pattern
 	View  *tpq.Pattern
@@ -316,6 +304,12 @@ type Request struct {
 	// PlanBackend forces the answer-plan execution backend for this
 	// request; the zero value (plan.Auto) selects per program.
 	PlanBackend plan.Backend
+	// Document is the source a direct Answer materializes View over; it
+	// is required unless ViewName is set.
+	Document *xmltree.Document
+	// ViewName, when set, makes Answer run over the stored view
+	// registered under this name in place of View and Document.
+	ViewName string
 }
 
 func (r Request) options(e *Engine, ctx context.Context) rewrite.Options {
@@ -324,6 +318,101 @@ func (r Request) options(e *Engine, ctx context.Context) rewrite.Options {
 		limit = e.cfg.MaxEmbeddings
 	}
 	return rewrite.Options{MaxEmbeddings: limit, Context: ctx}
+}
+
+// recursive reports whether the request takes the §5 recursive-schema
+// algorithm.
+func (r Request) recursive() bool {
+	return r.Schema != nil && (r.Recursive || r.Schema.IsRecursive())
+}
+
+// Text is a request's operands in textual form, as the HTTP API and the
+// benchmarks receive them. Parse resolves it into a Request.
+type Text struct {
+	Query     string
+	View      string
+	Schema    string // optional schema DSL text
+	Recursive bool
+	Document  string // XML text
+	Backend   string // optional plan backend ("auto", "structjoin", "treedp", "stream")
+	// ViewName names a stored view: the one an answer runs over in place
+	// of View and Document, or the one a registration stores.
+	ViewName string
+}
+
+// The operations Parse resolves textual operands for. Each decides
+// which operands are required (an empty required operand fails like any
+// unparsable one), the order they are checked in, and the field name an
+// *InvalidRequestError reports.
+const (
+	// OpRewrite: query and view; optional schema.
+	OpRewrite = names.OpRewrite
+	// OpAnswer: query, view, optional schema and backend, and document;
+	// with a ViewName, only query and optional backend.
+	OpAnswer = names.OpAnswer
+	// OpContain: p and q, carried in Query and View; optional schema.
+	OpContain = "contain"
+	// OpSelect: the stored-view selection probe q, carried in Query.
+	OpSelect = "select"
+	// OpRegister: a stored view's name (ViewName), view and document.
+	OpRegister = "register"
+)
+
+// Parse resolves a request's textual operands for op through the
+// engine's interner: repeated expression text skips the parse entirely,
+// and canonically identical patterns collapse onto one shared instance,
+// so two spellings of the same query produce the same cache key and
+// join the same singleflight before any parse-downstream work runs.
+// Every textual entry point parses here, and the time lands in the
+// parse stage.
+func (e *Engine) Parse(op string, t Text) (req Request, err error) {
+	start := time.Now()
+	defer func() { e.metrics.ObserveStage(obs.StageParse, time.Since(start)) }()
+	// The operands op requires, named as its clients know them; an
+	// empty field name marks a pattern operand op does not take.
+	qField, vField, needDoc := "query", "view", false
+	switch {
+	case op == OpContain:
+		qField, vField = "p", "q"
+	case op == OpSelect:
+		qField, vField = "q", ""
+	case op == OpRegister:
+		if t.ViewName == "" {
+			return Request{}, &InvalidRequestError{Field: "name", Err: errors.New("empty view name")}
+		}
+		qField, needDoc = "", true
+	case op == OpAnswer && t.ViewName != "":
+		vField = "" // the stored view's own expression is the view
+	case op == OpAnswer:
+		needDoc = true
+	}
+	if qField != "" {
+		if req.Query, err = e.intern.pattern(t.Query); err != nil {
+			return Request{}, &InvalidRequestError{Field: qField, Err: err}
+		}
+	}
+	if vField != "" {
+		if req.View, err = e.intern.pattern(t.View); err != nil {
+			return Request{}, &InvalidRequestError{Field: vField, Err: err}
+		}
+	}
+	if t.Schema != "" {
+		if req.Schema, err = e.intern.schemaGraph(t.Schema); err != nil {
+			return Request{}, &InvalidRequestError{Field: "schema", Err: err}
+		}
+	}
+	if t.Backend != "" {
+		if req.PlanBackend, err = plan.ParseBackend(t.Backend); err != nil {
+			return Request{}, &InvalidRequestError{Field: "backend", Err: err}
+		}
+	}
+	if needDoc {
+		if req.Document, err = xmltree.ParseString(t.Document); err != nil {
+			return Request{}, &InvalidRequestError{Field: "document", Err: err}
+		}
+	}
+	req.Recursive, req.ViewName = t.Recursive, t.ViewName
+	return req, nil
 }
 
 // Rewrite computes the maximal contained rewriting of the request's
@@ -344,7 +433,7 @@ func (e *Engine) Rewrite(ctx context.Context, req Request) (*rewrite.Result, err
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	recursive := req.Schema != nil && (req.Recursive || req.Schema.IsRecursive())
+	recursive := req.recursive()
 	compute := func() (*rewrite.Result, error) {
 		// Admission control guards compute, not lookups: only the
 		// singleflight leader reaches this closure, so cache hits and
@@ -358,7 +447,7 @@ func (e *Engine) Rewrite(ctx context.Context, req Request) (*rewrite.Result, err
 		cctx := obs.WithSpan(ctx, sp)
 		start := time.Now()
 		res, err := e.runPipelineGuarded(cctx, req, recursive)
-		e.observeRewrite(req, recursive, sp, time.Since(start), err)
+		e.observe(obs.SlowEntry{Op: names.OpRewrite}, req, sp, time.Since(start), err)
 		return res, err
 	}
 	if req.NoCache {
@@ -370,8 +459,8 @@ func (e *Engine) Rewrite(ctx context.Context, req Request) (*rewrite.Result, err
 
 // runPipelineGuarded is runPipeline behind panic isolation: a panic
 // anywhere in the rewriting pipeline becomes a typed ErrInternal whose
-// stack observeRewrite preserves in the slow-query log, failing one
-// request instead of the process.
+// stack observe preserves in the slow-query log, failing one request
+// instead of the process.
 func (e *Engine) runPipelineGuarded(ctx context.Context, req Request, recursive bool) (res *rewrite.Result, err error) {
 	defer guard.Recover(&err, "engine.rewrite")
 	if err := faultCompute.Hit(ctx); err != nil {
@@ -393,11 +482,13 @@ func (e *Engine) runPipeline(ctx context.Context, req Request, recursive bool) (
 	return sc.MCRWithSchemaCtx(ctx, req.Query, req.View)
 }
 
-// observeRewrite folds one computed request into the metrics registry
-// and, when it crossed the slow-query threshold, into the slow log.
-// Canonicalization is cached on the patterns, so even slow-path entries
-// are cheap to build.
-func (e *Engine) observeRewrite(req Request, recursive bool, sp *obs.Span, d time.Duration, err error) {
+// observe folds one computed rewriting or answer execution into the
+// metrics registry and, when it crossed the slow-query threshold, into
+// the slow log: entry, which carries the operation's Op label, is
+// completed with the request and its stage breakdown. Canonicalization
+// is cached on the patterns, so even slow-path entries are cheap to
+// build.
+func (e *Engine) observe(entry obs.SlowEntry, req Request, sp *obs.Span, d time.Duration, err error) {
 	e.metrics.ObserveSpan(sp)
 	// Recovered panics are recorded regardless of the latency threshold:
 	// the stack is the only evidence of the crash site, and a request
@@ -408,15 +499,12 @@ func (e *Engine) observeRewrite(req Request, recursive bool, sp *obs.Span, d tim
 	if !internal && (th <= 0 || d < th) {
 		return
 	}
-	entry := obs.SlowEntry{
-		Time:       time.Now(),
-		Op:         names.OpRewrite,
-		Query:      req.Query.Canonical(),
-		View:       req.View.Canonical(),
-		Recursive:  recursive,
-		DurationNs: int64(d),
-		StageNs:    sp.StageNs(),
-	}
+	entry.Time = time.Now()
+	entry.Query = req.Query.Canonical()
+	entry.View = req.View.Canonical()
+	entry.Recursive = req.recursive()
+	entry.DurationNs = int64(d)
+	entry.StageNs = sp.StageNs()
 	if req.Schema != nil {
 		entry.Schema = req.Schema.String()
 	}
@@ -427,49 +515,6 @@ func (e *Engine) observeRewrite(req Request, recursive bool, sp *obs.Span, d tim
 		entry.Stack = string(ie.Stack)
 	}
 	e.slow.Record(entry)
-}
-
-// RewriteRequest is a rewriting request in textual form, as received by
-// the HTTP API and the CLI.
-type RewriteRequest struct {
-	Query     string
-	View      string
-	Schema    string // optional schema DSL text
-	Recursive bool
-}
-
-// RewriteExpr parses the request's expressions and rewrites.
-func (e *Engine) RewriteExpr(ctx context.Context, req RewriteRequest) (*rewrite.Result, error) {
-	parsed, err := e.parseRewriteRequest(req)
-	if err != nil {
-		return nil, err
-	}
-	return e.Rewrite(ctx, parsed)
-}
-
-// parseRewriteRequest parses a textual request through the interner:
-// repeated expression text skips the parse entirely, and canonically
-// identical patterns collapse onto one shared instance — so two
-// spellings of the same query produce the same cache key and join the
-// same singleflight before any parse-downstream work runs.
-func (e *Engine) parseRewriteRequest(req RewriteRequest) (Request, error) {
-	start := time.Now()
-	defer func() { e.metrics.ObserveStage(obs.StageParse, time.Since(start)) }()
-	q, err := e.intern.pattern(req.Query)
-	if err != nil {
-		return Request{}, &InvalidRequestError{Field: "query", Err: err}
-	}
-	v, err := e.intern.pattern(req.View)
-	if err != nil {
-		return Request{}, &InvalidRequestError{Field: "view", Err: err}
-	}
-	var g *schema.Graph
-	if req.Schema != "" {
-		if g, err = e.intern.schemaGraph(req.Schema); err != nil {
-			return Request{}, &InvalidRequestError{Field: "schema", Err: err}
-		}
-	}
-	return Request{Query: q, View: v, Schema: g, Recursive: req.Recursive}, nil
 }
 
 // BatchOutcome is one item's outcome in a RewriteBatch call.
@@ -490,7 +535,7 @@ type BatchOutcome struct {
 // schema contexts and chase results are shared through the usual
 // per-schema cache. The returned slice is index-aligned with reqs;
 // per-item failures land in their item's Err and never fail the batch.
-func (e *Engine) RewriteBatch(ctx context.Context, reqs []RewriteRequest) []BatchOutcome {
+func (e *Engine) RewriteBatch(ctx context.Context, reqs []Text) []BatchOutcome {
 	ctx, cancel := e.withDeadline(ctx)
 	defer cancel()
 	out := make([]BatchOutcome, len(reqs))
@@ -498,14 +543,13 @@ func (e *Engine) RewriteBatch(ctx context.Context, reqs []RewriteRequest) []Batc
 	groups := make(map[string][]int) // cache key → item indices
 	var order []string
 	for i, r := range reqs {
-		p, err := e.parseRewriteRequest(r)
+		p, err := e.Parse(OpRewrite, r)
 		if err != nil {
 			out[i].Err = err
 			continue
 		}
 		parsed[i] = p
-		recursive := p.Schema != nil && (p.Recursive || p.Schema.IsRecursive())
-		k := cache.Key(p.Query, p.View, p.Schema, recursive)
+		k := cache.Key(p.Query, p.View, p.Schema, p.recursive())
 		if _, seen := groups[k]; !seen {
 			order = append(order, k)
 		}
@@ -536,15 +580,20 @@ func (e *Engine) RewriteBatch(ctx context.Context, reqs []RewriteRequest) []Batc
 	return out
 }
 
-// Answer is the outcome of answering a query through a view over a
-// document: the rewriting used, the materialized view nodes, the
-// answers obtained by executing the compiled answer plan, and the
-// direct evaluation of the query for comparison.
+// Answer is the outcome of answering a query through a view: the
+// rewriting used, the answers obtained by executing the compiled answer
+// plan, and the plan with its execution detail.
 type Answer struct {
-	Result    *rewrite.Result
+	Result  *rewrite.Result
+	Answers []*xmltree.Node
+	// ViewNodes (materialized view nodes) and Direct (the query
+	// evaluated on the document, for comparison) are set by a direct
+	// answer over a document.
 	ViewNodes []*xmltree.Node
-	Answers   []*xmltree.Node
 	Direct    []*xmltree.Node
+	// Trees is the stored forest's tree count, set by a stored-view
+	// answer.
+	Trees int
 	// Plan is the compiled (cached) answer plan the request executed.
 	Plan *plan.Plan
 	// Exec carries the execution detail (per-program backends).
@@ -597,42 +646,26 @@ func (e *Engine) answerPlan(ctx context.Context, crs []*rewrite.ContainedRewriti
 	return pl, exec, nil
 }
 
-// observeAnswer folds one answer execution into the metrics registry
-// and, when slow (or internally failed), into the slow-query log under
-// op "answer" with its plan-stage breakdown.
-func (e *Engine) observeAnswer(q, v *tpq.Pattern, sp *obs.Span, d time.Duration, err error) {
-	e.metrics.ObserveSpan(sp)
-	var ie *guard.InternalError
-	internal := errors.As(err, &ie)
-	th := e.slow.Threshold()
-	if !internal && (th <= 0 || d < th) {
-		return
-	}
-	entry := obs.SlowEntry{
-		Time:       time.Now(),
-		Op:         names.OpAnswer,
-		Query:      q.Canonical(),
-		View:       v.Canonical(),
-		DurationNs: int64(d),
-		StageNs:    sp.StageNs(),
-	}
-	if err != nil {
-		entry.Err = err.Error()
-	}
-	if internal {
-		entry.Stack = string(ie.Stack)
-	}
-	e.slow.Record(entry)
-}
-
-// AnswerDoc answers the request's query over d strictly through the
-// view: the view is materialized, the MCR's compensation queries are
-// compiled into an answer plan (cached by canonical CR union), and the
-// plan executes over the indexed view windows. Returns
-// ErrNotAnswerable when no contained rewriting exists.
-func (e *Engine) AnswerDoc(ctx context.Context, req Request, d *xmltree.Document) (*Answer, error) {
+// Answer answers the request's query strictly through a view: the MCR
+// is computed (cached), its compensation queries compile into an answer
+// plan (cached by canonical CR union), and the plan executes over the
+// view's forest. With a ViewName the forest is the stored view's, read
+// through its cached index, and the source document is never touched
+// (ErrUnknownView when no view has that name); otherwise View is
+// materialized over Document and the plan executes over the indexed
+// view windows. Returns ErrNotAnswerable when no contained rewriting
+// exists.
+func (e *Engine) Answer(ctx context.Context, req Request) (*Answer, error) {
 	ctx, cancel := e.withDeadline(ctx)
 	defer cancel()
+	var stored *viewstore.Materialized
+	if req.ViewName != "" {
+		var ok bool
+		if stored, ok = e.views.Get(req.ViewName); !ok {
+			return nil, fmt.Errorf("%w: %q", ErrUnknownView, req.ViewName)
+		}
+		req.View = stored.Expr
+	}
 	res, err := e.Rewrite(ctx, req)
 	if err != nil {
 		return nil, err
@@ -643,62 +676,30 @@ func (e *Engine) AnswerDoc(ctx context.Context, req Request, d *xmltree.Document
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	ans := &Answer{Result: res}
+	var index func(context.Context) (*plan.Forest, error)
+	if stored != nil {
+		ans.Trees = len(stored.Forest)
+		index = stored.ForestIndex
+	} else {
+		viewNodes := rewrite.MaterializeView(req.View, req.Document)
+		ans.ViewNodes = viewNodes
+		index = func(c context.Context) (*plan.Forest, error) {
+			return plan.IndexSubtrees(c, req.Document, viewNodes)
+		}
+	}
 	sp := obs.NewSpan()
 	start := time.Now()
-	actx := obs.WithSpan(ctx, sp)
-	viewNodes := rewrite.MaterializeView(req.View, d)
-	pl, exec, err := e.answerPlan(actx, res.CRs, func(c context.Context) (*plan.Forest, error) {
-		return plan.IndexSubtrees(c, d, viewNodes)
-	}, req.PlanBackend)
-	e.observeAnswer(req.Query, req.View, sp, time.Since(start), err)
+	ans.Plan, ans.Exec, err = e.answerPlan(obs.WithSpan(ctx, sp), res.CRs, index, req.PlanBackend)
+	e.observe(obs.SlowEntry{Op: names.OpAnswer}, req, sp, time.Since(start), err)
 	if err != nil {
 		return nil, err
 	}
-	return &Answer{
-		Result:    res,
-		ViewNodes: viewNodes,
-		Answers:   exec.Nodes(),
-		Direct:    req.Query.Evaluate(d),
-		Plan:      pl,
-		Exec:      exec,
-	}, nil
-}
-
-// AnswerRequest is an answering request in textual form.
-type AnswerRequest struct {
-	Query    string
-	View     string
-	Document string // XML text
-	Schema   string // optional schema DSL text
-	Backend  string // optional plan backend ("auto", "structjoin", "treedp", "stream")
-}
-
-// AnswerExpr parses the request and answers the query through the view
-// over the document.
-func (e *Engine) AnswerExpr(ctx context.Context, req AnswerRequest) (*Answer, error) {
-	parsed, err := e.parseRewriteRequest(RewriteRequest{Query: req.Query, View: req.View, Schema: req.Schema})
-	if err != nil {
-		return nil, err
+	ans.Answers = ans.Exec.Nodes()
+	if stored == nil {
+		ans.Direct = req.Query.Evaluate(req.Document)
 	}
-	if parsed.PlanBackend, err = parseBackend(req.Backend); err != nil {
-		return nil, err
-	}
-	d, err := xmltree.ParseString(req.Document)
-	if err != nil {
-		return nil, &InvalidRequestError{Field: "document", Err: err}
-	}
-	return e.AnswerDoc(ctx, parsed, d)
-}
-
-func parseBackend(s string) (plan.Backend, error) {
-	if s == "" {
-		return plan.Auto, nil
-	}
-	b, err := plan.ParseBackend(s)
-	if err != nil {
-		return plan.Auto, &InvalidRequestError{Field: "backend", Err: err}
-	}
-	return b, nil
+	return ans, nil
 }
 
 // RegisterView stores a materialized view under name, replacing any
@@ -708,31 +709,6 @@ func (e *Engine) RegisterView(name string, m *viewstore.Materialized) {
 	e.views.Register(name, m)
 }
 
-// RegisterViewExpr parses the view expression and document, evaluates
-// the view over it, and registers the shipped forest under name — the
-// HTTP registration endpoint's engine half.
-func (e *Engine) RegisterViewExpr(name, view, document string) (*viewstore.Materialized, error) {
-	if name == "" {
-		return nil, &InvalidRequestError{Field: "name", Err: errors.New("empty view name")}
-	}
-	v, err := tpq.Parse(view)
-	if err != nil {
-		return nil, &InvalidRequestError{Field: "view", Err: err}
-	}
-	d, err := xmltree.ParseString(document)
-	if err != nil {
-		return nil, &InvalidRequestError{Field: "document", Err: err}
-	}
-	m := viewstore.Materialize(v, d)
-	e.views.Register(name, m)
-	return m, nil
-}
-
-// View returns the materialized view registered under name.
-func (e *Engine) View(name string) (*viewstore.Materialized, bool) {
-	return e.views.Get(name)
-}
-
 // ViewNames returns the names of the registered stored views, sorted.
 func (e *Engine) ViewNames() []string { return e.views.Names() }
 
@@ -740,154 +716,10 @@ func (e *Engine) ViewNames() []string { return e.views.Names() }
 // shard count, interned tag dictionary size, mutation generation).
 func (e *Engine) ViewStats() viewstore.CatalogStats { return e.views.Stats() }
 
-// ViewCandidates returns the names of the stored views the catalog's
-// signature index admits as possible sources of a nonempty rewriting
-// of q — a superset of the truly useful views, selected without
-// touching the view patterns.
-func (e *Engine) ViewCandidates(ctx context.Context, q *tpq.Pattern) ([]string, error) {
-	return e.views.Candidates(ctx, q, nil)
-}
-
 // SelectViews returns the top k stored views for q ranked by signature
 // tightness; k <= 0 returns all candidates, ranked.
 func (e *Engine) SelectViews(ctx context.Context, q *tpq.Pattern, k int) ([]viewstore.SelectedView, error) {
 	return e.views.SelectViews(ctx, q, k)
-}
-
-// MultiView is the outcome of a catalog-wide rewriting: the multi-view
-// MCR plus the view sources that were actually considered (the
-// signature-selected candidate set, in the order MultiViewResult
-// indexes refer to).
-type MultiView struct {
-	Result *rewrite.MultiViewResult
-	Views  []rewrite.ViewSource
-}
-
-// RewriteAllViews computes the maximal contained rewriting of q over
-// the stored-view catalog. The candidate set is chosen by the
-// signature index: with a top-k cap (the argument, else
-// Config.TopKViews) the k tightest-ranked candidates; otherwise, for a
-// '/'-rooted query, exactly the index's candidate views (the excluded
-// views provably contribute nothing); otherwise every view. The
-// rewriting itself runs through the batched rewrite.MCRMultiView
-// pipeline under the engine's gate, budget and deadline.
-func (e *Engine) RewriteAllViews(ctx context.Context, q *tpq.Pattern, topK int) (*MultiView, error) {
-	ctx, cancel := e.withDeadline(ctx)
-	defer cancel()
-	if topK <= 0 {
-		topK = e.cfg.TopKViews
-	}
-	var selected []string
-	switch {
-	case topK > 0:
-		sel, err := e.views.SelectViews(ctx, q, topK)
-		if err != nil {
-			return nil, err
-		}
-		for _, s := range sel {
-			selected = append(selected, s.Name)
-		}
-	case q != nil && q.Root != nil && q.Root.Axis == tpq.Child:
-		// '/'-rooted: index-excluded views admit neither a nonempty nor
-		// the trivial embedding, so the candidate set is lossless.
-		var err error
-		if selected, err = e.views.Candidates(ctx, q, nil); err != nil {
-			return nil, err
-		}
-		sort.Strings(selected)
-	default:
-		selected = e.views.Names()
-	}
-	sources := make([]rewrite.ViewSource, 0, len(selected))
-	for _, name := range selected {
-		if m, ok := e.views.Get(name); ok && m != nil && m.Expr != nil {
-			sources = append(sources, rewrite.ViewSource{Name: name, View: m.Expr})
-		}
-	}
-	release, err := e.cfg.Gate.Acquire(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	sp := obs.NewSpan()
-	cctx := obs.WithSpan(ctx, sp)
-	res, err := rewrite.MCRMultiView(q, sources, rewrite.Options{MaxEmbeddings: e.cfg.MaxEmbeddings, Context: cctx})
-	e.metrics.ObserveSpan(sp)
-	if err != nil {
-		return nil, err
-	}
-	return &MultiView{Result: res, Views: sources}, nil
-}
-
-// StoredAnswer is the outcome of answering through a registered stored
-// view: the rewriting, the answers (nodes of the stored trees, in
-// (tree, preorder) order), and the plan execution detail.
-type StoredAnswer struct {
-	Result  *rewrite.Result
-	Answers []*xmltree.Node
-	Trees   int
-	Plan    *plan.Plan
-	Exec    *plan.ExecResult
-}
-
-// AnswerStoredView answers q using only the named stored view: the MCR
-// of q using the view's expression is computed (cached), its
-// compensations compile to a plan (cached), and the plan executes over
-// the view's cached forest index — the source database is never
-// touched.
-func (e *Engine) AnswerStoredView(ctx context.Context, q *tpq.Pattern, viewName string, backend plan.Backend) (*StoredAnswer, error) {
-	ctx, cancel := e.withDeadline(ctx)
-	defer cancel()
-	m, ok := e.View(viewName)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownView, viewName)
-	}
-	res, err := e.Rewrite(ctx, Request{Query: q, View: m.Expr})
-	if err != nil {
-		return nil, err
-	}
-	if res.Union.Empty() {
-		return nil, ErrNotAnswerable
-	}
-	sp := obs.NewSpan()
-	start := time.Now()
-	actx := obs.WithSpan(ctx, sp)
-	pl, exec, err := e.answerPlan(actx, res.CRs, m.ForestIndex, backend)
-	e.observeAnswer(q, m.Expr, sp, time.Since(start), err)
-	if err != nil {
-		return nil, err
-	}
-	return &StoredAnswer{
-		Result:  res,
-		Answers: exec.Nodes(),
-		Trees:   len(m.Forest),
-		Plan:    pl,
-		Exec:    exec,
-	}, nil
-}
-
-// AnswerStored is the historical form of AnswerStoredView, returning
-// the rewriting and the answers.
-func (e *Engine) AnswerStored(ctx context.Context, q *tpq.Pattern, viewName string) (*rewrite.Result, []*xmltree.Node, error) {
-	sa, err := e.AnswerStoredView(ctx, q, viewName, plan.Auto)
-	if err != nil {
-		return nil, nil, err
-	}
-	return sa.Result, sa.Answers, nil
-}
-
-// AnswerStoredExpr parses the query and answers it through the named
-// stored view.
-func (e *Engine) AnswerStoredExpr(ctx context.Context, query, viewName, backend string) (*StoredAnswer, error) {
-	q, err := tpq.Parse(query)
-	if err != nil {
-		return nil, &InvalidRequestError{Field: "query", Err: err}
-	}
-	b, err := parseBackend(backend)
-	if err != nil {
-		return nil, err
-	}
-	return e.AnswerStoredView(ctx, q, viewName, b)
 }
 
 // Contain decides containment both ways between p and q, schema-
@@ -911,39 +743,6 @@ func (e *Engine) Contain(ctx context.Context, p, q *tpq.Pattern, g *schema.Graph
 	return pInQ, sc.SContained(q, p), nil
 }
 
-// ContainRequest is a containment request in textual form.
-type ContainRequest struct {
-	P      string
-	Q      string
-	Schema string // optional schema DSL text
-}
-
-// ContainExpr parses the request and decides containment both ways.
-func (e *Engine) ContainExpr(ctx context.Context, req ContainRequest) (pInQ, qInP bool, err error) {
-	p, q, g, err := e.parseContainRequest(req)
-	if err != nil {
-		return false, false, err
-	}
-	return e.Contain(ctx, p, q, g)
-}
-
-func (e *Engine) parseContainRequest(req ContainRequest) (p, q *tpq.Pattern, g *schema.Graph, err error) {
-	start := time.Now()
-	defer func() { e.metrics.ObserveStage(obs.StageParse, time.Since(start)) }()
-	if p, err = tpq.Parse(req.P); err != nil {
-		return nil, nil, nil, &InvalidRequestError{Field: "p", Err: err}
-	}
-	if q, err = tpq.Parse(req.Q); err != nil {
-		return nil, nil, nil, &InvalidRequestError{Field: "q", Err: err}
-	}
-	if req.Schema != "" {
-		if g, err = schema.Parse(req.Schema); err != nil {
-			return nil, nil, nil, &InvalidRequestError{Field: "schema", Err: err}
-		}
-	}
-	return p, q, g, nil
-}
-
 // Chase exposes the chase procedure as an inspection utility: the
 // goal-directed intelligent chase toward q when q is non-nil (Lemma 4),
 // the exhaustive fixpoint chase otherwise. The exhaustive chase can be
@@ -953,7 +752,7 @@ func (e *Engine) Chase(ctx context.Context, v, q *tpq.Pattern, g *schema.Graph) 
 	defer cancel()
 	start := time.Now()
 	defer func() { e.metrics.ObserveStage(obs.StageChase, time.Since(start)) }()
-	sigma := e.Constraints(g)
+	sigma := e.SchemaContext(g).Sigma
 	if q != nil {
 		if err := ctx.Err(); err != nil {
 			return nil, err

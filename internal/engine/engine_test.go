@@ -32,9 +32,50 @@ person -> name
 item -> name
 `
 
+// rewriteText parses t for OpRewrite and rewrites it.
+func rewriteText(e *Engine, t Text) (*rewrite.Result, error) {
+	req, err := e.Parse(OpRewrite, t)
+	if err != nil {
+		return nil, err
+	}
+	return e.Rewrite(context.Background(), req)
+}
+
+// answerText parses t for OpAnswer and answers it.
+func answerText(e *Engine, t Text) (*Answer, error) {
+	req, err := e.Parse(OpAnswer, t)
+	if err != nil {
+		return nil, err
+	}
+	return e.Answer(context.Background(), req)
+}
+
+// containText parses t for OpContain (p in Query, q in View) and decides
+// containment both ways.
+func containText(e *Engine, t Text) (pInQ, qInP bool, err error) {
+	req, err := e.Parse(OpContain, t)
+	if err != nil {
+		return false, false, err
+	}
+	return e.Contain(context.Background(), req.Query, req.View, req.Schema)
+}
+
+// registerText parses a registration for OpRegister, materializes the
+// view over the document and stores it under name, as POST /v1/views
+// does.
+func registerText(e *Engine, name, view, doc string) (*viewstore.Materialized, error) {
+	req, err := e.Parse(OpRegister, Text{ViewName: name, View: view, Document: doc})
+	if err != nil {
+		return nil, err
+	}
+	m := viewstore.Materialize(req.View, req.Document)
+	e.RegisterView(req.ViewName, m)
+	return m, nil
+}
+
 func TestRewriteSchemaless(t *testing.T) {
 	e := New(Config{})
-	res, err := e.RewriteExpr(context.Background(), RewriteRequest{
+	res, err := rewriteText(e, Text{
 		Query: "//Trials[//Status]//Trial", View: "//Trials//Trial",
 	})
 	if err != nil {
@@ -55,7 +96,7 @@ func TestRewriteSchemaless(t *testing.T) {
 
 func TestRewriteWithSchemaSelectsAlgorithm(t *testing.T) {
 	e := New(Config{})
-	res, err := e.RewriteExpr(context.Background(), RewriteRequest{
+	res, err := rewriteText(e, Text{
 		Query: "//Auction[//item]//name", View: "//Auction//person", Schema: auctionSchema,
 	})
 	if err != nil {
@@ -65,7 +106,7 @@ func TestRewriteWithSchemaSelectsAlgorithm(t *testing.T) {
 		t.Errorf("union = %s", got)
 	}
 	// A recursive schema must silently select the §5 algorithm.
-	if _, err := e.RewriteExpr(context.Background(), RewriteRequest{
+	if _, err := rewriteText(e, Text{
 		Query: "//a//b", View: "//a//b", Schema: "root a\na -> a? b\nb -> c?\n",
 	}); err != nil {
 		t.Fatalf("recursive schema: %v", err)
@@ -75,20 +116,20 @@ func TestRewriteWithSchemaSelectsAlgorithm(t *testing.T) {
 func TestInvalidInputs(t *testing.T) {
 	e := New(Config{})
 	var inv *InvalidRequestError
-	if _, err := e.RewriteExpr(context.Background(), RewriteRequest{Query: "///", View: "//a"}); !errors.As(err, &inv) || inv.Field != "query" {
+	if _, err := rewriteText(e, Text{Query: "///", View: "//a"}); !errors.As(err, &inv) || inv.Field != "query" {
 		t.Errorf("bad query: %v", err)
 	}
-	if _, err := e.RewriteExpr(context.Background(), RewriteRequest{Query: "//a", View: "//b", Schema: "not a schema"}); !errors.As(err, &inv) || inv.Field != "schema" {
+	if _, err := rewriteText(e, Text{Query: "//a", View: "//b", Schema: "not a schema"}); !errors.As(err, &inv) || inv.Field != "schema" {
 		t.Errorf("bad schema: %v", err)
 	}
-	if _, err := e.AnswerExpr(context.Background(), AnswerRequest{Query: "//a", View: "//a", Document: "<unclosed"}); !errors.As(err, &inv) || inv.Field != "document" {
+	if _, err := answerText(e, Text{Query: "//a", View: "//a", Document: "<unclosed"}); !errors.As(err, &inv) || inv.Field != "document" {
 		t.Errorf("bad document: %v", err)
 	}
 }
 
 func TestAnswerExpr(t *testing.T) {
 	e := New(Config{})
-	ans, err := e.AnswerExpr(context.Background(), AnswerRequest{
+	ans, err := answerText(e, Text{
 		Query:    "//Trials[//Status]//Trial/Patient",
 		View:     "//Trials//Trial",
 		Document: "<PharmaLab><Trials><Trial><Patient>John</Patient><Status/></Trial><Trial><Patient>Jen</Patient></Trial></Trials></PharmaLab>",
@@ -103,7 +144,7 @@ func TestAnswerExpr(t *testing.T) {
 		t.Errorf("viewNodes = %d, direct = %d", len(ans.ViewNodes), len(ans.Direct))
 	}
 	// Unanswerable pair.
-	if _, err := e.AnswerExpr(context.Background(), AnswerRequest{Query: "/b", View: "/a//c", Document: "<a/>"}); !errors.Is(err, ErrNotAnswerable) {
+	if _, err := answerText(e, Text{Query: "/b", View: "/a//c", Document: "<a/>"}); !errors.Is(err, ErrNotAnswerable) {
 		t.Errorf("err = %v, want ErrNotAnswerable", err)
 	}
 }
@@ -115,27 +156,27 @@ func TestAnswerStored(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.RegisterView("src1", viewstore.Materialize(tpq.MustParse("//Trials//Trial"), d))
-	_, answers, err := e.AnswerStored(context.Background(), tpq.MustParse("//Trials//Trial/Patient"), "src1")
+	ans, err := e.Answer(context.Background(), Request{Query: tpq.MustParse("//Trials//Trial/Patient"), ViewName: "src1"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(answers) != 1 || answers[0].Text != "Ann" {
-		t.Errorf("answers = %v", answers)
+	if len(ans.Answers) != 1 || ans.Answers[0].Text != "Ann" {
+		t.Errorf("answers = %v", ans.Answers)
 	}
-	if _, _, err := e.AnswerStored(context.Background(), tpq.MustParse("//x"), "nope"); !errors.Is(err, ErrUnknownView) {
+	if _, err := e.Answer(context.Background(), Request{Query: tpq.MustParse("//x"), ViewName: "nope"}); !errors.Is(err, ErrUnknownView) {
 		t.Errorf("err = %v, want ErrUnknownView", err)
 	}
 }
 
 func TestContain(t *testing.T) {
 	e := New(Config{})
-	pInQ, qInP, err := e.ContainExpr(context.Background(), ContainRequest{P: "//a/b", Q: "//a//b"})
+	pInQ, qInP, err := containText(e, Text{Query: "//a/b", View: "//a//b"})
 	if err != nil || !pInQ || qInP {
 		t.Errorf("contain = %v %v %v", pInQ, qInP, err)
 	}
 	// Schema-relative: the Figure 2 pair holds only under the schema.
-	pInQ, _, err = e.ContainExpr(context.Background(), ContainRequest{
-		P: "//Auction//person//name", Q: "//Auction[//item]//name", Schema: auctionSchema,
+	pInQ, _, err = containText(e, Text{
+		Query: "//Auction//person//name", View: "//Auction[//item]//name", Schema: auctionSchema,
 	})
 	if err != nil || !pInQ {
 		t.Errorf("S-containment = %v %v", pInQ, err)
@@ -236,8 +277,8 @@ func TestConfigTimeout(t *testing.T) {
 // probe).
 func TestMetricsSnapshotStages(t *testing.T) {
 	e := New(Config{})
-	req := RewriteRequest{Query: "//Trials[//Status]//Trial", View: "//Trials//Trial"}
-	if _, err := e.RewriteExpr(context.Background(), req); err != nil {
+	req := Text{Query: "//Trials[//Status]//Trial", View: "//Trials//Trial"}
+	if _, err := rewriteText(e, req); err != nil {
 		t.Fatal(err)
 	}
 	snap := e.MetricsSnapshot()
@@ -253,7 +294,7 @@ func TestMetricsSnapshotStages(t *testing.T) {
 	// The same request again is a hit: parse runs (expression decoding
 	// is outside the cache), the pipeline stages must not.
 	enumBefore := snap.Stages["enumerate"].Count
-	if _, err := e.RewriteExpr(context.Background(), req); err != nil {
+	if _, err := rewriteText(e, req); err != nil {
 		t.Fatal(err)
 	}
 	snap = e.MetricsSnapshot()
@@ -268,7 +309,7 @@ func TestMetricsSnapshotStages(t *testing.T) {
 // The schema pipeline credits the chase stage too.
 func TestMetricsSnapshotSchemaStages(t *testing.T) {
 	e := New(Config{})
-	_, err := e.RewriteExpr(context.Background(), RewriteRequest{
+	_, err := rewriteText(e, Text{
 		Query: "//Auction[//item]//name", View: "//Auction//person", Schema: auctionSchema,
 	})
 	if err != nil {
@@ -282,7 +323,7 @@ func TestMetricsSnapshotSchemaStages(t *testing.T) {
 
 func TestSlowQueryLog(t *testing.T) {
 	e := New(Config{SlowQueryThreshold: time.Nanosecond})
-	if _, err := e.RewriteExpr(context.Background(), RewriteRequest{
+	if _, err := rewriteText(e, Text{
 		Query: "//Trials[//Status]//Trial", View: "//Trials//Trial",
 	}); err != nil {
 		t.Fatal(err)
@@ -300,7 +341,7 @@ func TestSlowQueryLog(t *testing.T) {
 	}
 	// A repeat of the same request is a cache hit and must not be
 	// logged again, no matter how low the threshold.
-	if _, err := e.RewriteExpr(context.Background(), RewriteRequest{
+	if _, err := rewriteText(e, Text{
 		Query: "//Trials[//Status]//Trial", View: "//Trials//Trial",
 	}); err != nil {
 		t.Fatal(err)
@@ -312,7 +353,7 @@ func TestSlowQueryLog(t *testing.T) {
 
 func TestSlowQueryLogDisabledByDefault(t *testing.T) {
 	e := New(Config{})
-	if _, err := e.RewriteExpr(context.Background(), RewriteRequest{
+	if _, err := rewriteText(e, Text{
 		Query: "//Trials[//Status]//Trial", View: "//Trials//Trial",
 	}); err != nil {
 		t.Fatal(err)
@@ -360,19 +401,19 @@ func TestEngineConcurrentMixedUse(t *testing.T) {
 				q := queries[(w+i)%len(queries)]
 				switch i % 4 {
 				case 0:
-					if _, err := e.RewriteExpr(context.Background(), RewriteRequest{Query: q, View: "//a"}); err != nil {
+					if _, err := rewriteText(e, Text{Query: q, View: "//a"}); err != nil {
 						t.Error(err)
 					}
 				case 1:
-					if _, err := e.RewriteExpr(context.Background(), RewriteRequest{Query: q, View: "//a", Schema: auctionSchema}); err != nil {
+					if _, err := rewriteText(e, Text{Query: q, View: "//a", Schema: auctionSchema}); err != nil {
 						t.Error(err)
 					}
 				case 2:
-					if _, _, err := e.ContainExpr(context.Background(), ContainRequest{P: q, Q: "//a"}); err != nil {
+					if _, _, err := containText(e, Text{Query: q, View: "//a"}); err != nil {
 						t.Error(err)
 					}
 				case 3:
-					ans, err := e.AnswerExpr(context.Background(), AnswerRequest{Query: "//a/b", View: "//a", Document: doc})
+					ans, err := answerText(e, Text{Query: "//a/b", View: "//a", Document: doc})
 					if err != nil {
 						t.Error(err)
 					} else if len(ans.Answers) != 1 {
@@ -392,7 +433,7 @@ func TestEngineConcurrentMixedUse(t *testing.T) {
 			name := fmt.Sprintf("v%d", w)
 			e.RegisterView(name, viewstore.Materialize(tpq.MustParse("//a"), d))
 			for i := 0; i < 10; i++ {
-				if _, _, err := e.AnswerStored(context.Background(), tpq.MustParse("//a/b"), name); err != nil {
+				if _, err := e.Answer(context.Background(), Request{Query: tpq.MustParse("//a/b"), ViewName: name}); err != nil {
 					t.Error(err)
 				}
 			}
@@ -415,7 +456,7 @@ func TestGateShedsUnderSaturation(t *testing.T) {
 	}
 	first := make(chan error, 1)
 	go func() {
-		_, err := e.RewriteExpr(context.Background(), RewriteRequest{Query: "//a[b]//c", View: "//a//c"})
+		_, err := rewriteText(e, Text{Query: "//a[b]//c", View: "//a//c"})
 		first <- err
 	}()
 	// Wait for the first request to occupy the slot.
@@ -426,7 +467,7 @@ func TestGateShedsUnderSaturation(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	_, err := e.RewriteExpr(context.Background(), RewriteRequest{Query: "//x[y]//z", View: "//x//z"})
+	_, err := rewriteText(e, Text{Query: "//x[y]//z", View: "//x//z"})
 	var sat *limits.SaturatedError
 	if !errors.As(err, &sat) {
 		t.Fatalf("second request err = %v, want *SaturatedError", err)
@@ -444,7 +485,7 @@ func TestGateShedsUnderSaturation(t *testing.T) {
 	// Shed outcomes are transient: the key must not be negative-cached,
 	// so the same request succeeds once load drains.
 	fault.Disable()
-	if _, err := e.RewriteExpr(context.Background(), RewriteRequest{Query: "//x[y]//z", View: "//x//z"}); err != nil {
+	if _, err := rewriteText(e, Text{Query: "//x[y]//z", View: "//x//z"}); err != nil {
 		t.Errorf("retry after shed failed: %v", err)
 	}
 }
@@ -460,7 +501,7 @@ func TestPipelinePanicIsolatedAndLogged(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	_, err := e.RewriteExpr(context.Background(), RewriteRequest{Query: "//a[b]//c", View: "//a//c"})
+	_, err := rewriteText(e, Text{Query: "//a[b]//c", View: "//a//c"})
 	if !errors.Is(err, guard.ErrInternal) {
 		t.Fatalf("err = %v, want ErrInternal", err)
 	}
@@ -475,7 +516,7 @@ func TestPipelinePanicIsolatedAndLogged(t *testing.T) {
 		t.Errorf("panicked computation was cached (%d entries)", s.CacheEntries)
 	}
 	fault.Disable()
-	if _, err := e.RewriteExpr(context.Background(), RewriteRequest{Query: "//a[b]//c", View: "//a//c"}); err != nil {
+	if _, err := rewriteText(e, Text{Query: "//a[b]//c", View: "//a//c"}); err != nil {
 		t.Errorf("retry after recovered panic failed: %v", err)
 	}
 }
@@ -489,7 +530,7 @@ func TestAnswerStoredView(t *testing.T) {
 	e.RegisterView("src1", viewstore.Materialize(tpq.MustParse("//Trials//Trial"), d))
 	q := tpq.MustParse("//Trials//Trial/Patient")
 	for _, be := range []plan.Backend{plan.Auto, plan.StructJoin, plan.TreeDP, plan.Stream} {
-		sa, err := e.AnswerStoredView(context.Background(), q, "src1", be)
+		sa, err := e.Answer(context.Background(), Request{Query: q, ViewName: "src1", PlanBackend: be})
 		if err != nil {
 			t.Fatalf("backend %v: %v", be, err)
 		}
@@ -519,7 +560,7 @@ func TestAnswerStoredExprBackendValidation(t *testing.T) {
 	e := New(Config{})
 	d, _ := xmltree.ParseString("<a><b/></a>")
 	e.RegisterView("v", viewstore.Materialize(tpq.MustParse("//a"), d))
-	if _, err := e.AnswerStoredExpr(context.Background(), "//a/b", "v", "bogus"); err == nil {
+	if _, err := answerText(e, Text{Query: "//a/b", ViewName: "v", Backend: "bogus"}); err == nil {
 		t.Fatal("bogus backend accepted")
 	} else {
 		var inv *InvalidRequestError
@@ -527,23 +568,23 @@ func TestAnswerStoredExprBackendValidation(t *testing.T) {
 			t.Fatalf("err = %v, want InvalidRequestError{backend}", err)
 		}
 	}
-	if _, err := e.AnswerExpr(context.Background(), AnswerRequest{
+	if _, err := answerText(e, Text{
 		Query: "//a/b", View: "//a", Document: "<a><b/></a>", Backend: "bogus",
 	}); err == nil {
-		t.Fatal("bogus backend accepted by AnswerExpr")
+		t.Fatal("bogus backend accepted by a direct answer")
 	}
 }
 
 func TestRegisterViewExprAndNames(t *testing.T) {
 	e := New(Config{})
-	m, err := e.RegisterViewExpr("beta", "//Trials//Trial", "<Trials><Trial><Patient>Ann</Patient></Trial></Trials>")
+	m, err := registerText(e, "beta", "//Trials//Trial", "<Trials><Trial><Patient>Ann</Patient></Trial></Trials>")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(m.Forest) != 1 {
 		t.Fatalf("forest = %d trees", len(m.Forest))
 	}
-	if _, err := e.RegisterViewExpr("alpha", "//Trials", "<Trials/>"); err != nil {
+	if _, err := registerText(e, "alpha", "//Trials", "<Trials/>"); err != nil {
 		t.Fatal(err)
 	}
 	names := e.ViewNames()
@@ -555,17 +596,17 @@ func TestRegisterViewExprAndNames(t *testing.T) {
 		{"x", "((", "<a/>", "view"},
 		{"x", "//a", "<not-xml", "document"},
 	} {
-		_, err := e.RegisterViewExpr(tc.name, tc.view, tc.doc)
+		_, err := registerText(e, tc.name, tc.view, tc.doc)
 		var inv *InvalidRequestError
 		if !errors.As(err, &inv) || inv.Field != tc.field {
-			t.Errorf("RegisterViewExpr(%q,%q,...): err = %v, want field %q", tc.name, tc.view, err, tc.field)
+			t.Errorf("register(%q,%q,...): err = %v, want field %q", tc.name, tc.view, err, tc.field)
 		}
 	}
 }
 
 func TestAnswerRecordsPlanStages(t *testing.T) {
 	e := New(Config{})
-	_, err := e.AnswerExpr(context.Background(), AnswerRequest{
+	_, err := answerText(e, Text{
 		Query:    "//Trials[//Status]//Trial/Patient",
 		View:     "//Trials//Trial",
 		Document: "<PharmaLab><Trials><Trial><Patient>John</Patient><Status/></Trial></Trials></PharmaLab>",
@@ -586,7 +627,7 @@ func TestAnswerRecordsPlanStages(t *testing.T) {
 
 func TestAnswerSlowLogOp(t *testing.T) {
 	e := New(Config{SlowQueryThreshold: time.Nanosecond})
-	_, err := e.AnswerExpr(context.Background(), AnswerRequest{
+	_, err := answerText(e, Text{
 		Query: "//Trials//Trial", View: "//Trials//Trial", Document: "<Trials><Trial/></Trials>",
 	})
 	if err != nil {
@@ -619,7 +660,7 @@ func TestAnswerStoredGateSheds(t *testing.T) {
 	e := New(Config{Gate: g})
 	d, _ := xmltree.ParseString("<a><b/></a>")
 	e.RegisterView("v", viewstore.Materialize(tpq.MustParse("//a"), d))
-	_, err = e.AnswerStoredView(context.Background(), tpq.MustParse("//a/b"), "v", plan.Auto)
+	_, err = e.Answer(context.Background(), Request{Query: tpq.MustParse("//a/b"), ViewName: "v"})
 	if !errors.Is(err, limits.ErrSaturated) {
 		t.Fatalf("err = %v, want ErrSaturated", err)
 	}

@@ -16,13 +16,13 @@ import (
 func TestWarmBootServesRewriteWithoutRecompute(t *testing.T) {
 	defer leaktest.Check(t)()
 	dir := t.TempDir()
-	req := RewriteRequest{Query: "//Trials[//Status]//Trial", View: "//Trials//Trial"}
+	req := Text{Query: "//Trials[//Status]//Trial", View: "//Trials//Trial"}
 
 	e1 := New(Config{CacheSize: 16, CacheDir: dir})
 	if wb := e1.WarmBootInfo(); !wb.Enabled || wb.Err != "" {
 		t.Fatalf("warm boot info = %+v, want enabled tier", wb)
 	}
-	want, err := e1.RewriteExpr(context.Background(), req)
+	want, err := rewriteText(e1, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestWarmBootServesRewriteWithoutRecompute(t *testing.T) {
 	if wb := e2.WarmBootInfo(); wb.Replayed != 1 {
 		t.Fatalf("second boot replayed = %d, want 1", wb.Replayed)
 	}
-	got, err := e2.RewriteExpr(context.Background(), req)
+	got, err := rewriteText(e2, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestWarmBootOpenFailureIsNonFatal(t *testing.T) {
 	if wb.Err == "" {
 		t.Error("open failure not reported")
 	}
-	if _, err := e.RewriteExpr(context.Background(), RewriteRequest{
+	if _, err := rewriteText(e, Text{
 		Query: "//a[b]", View: "//a",
 	}); err != nil {
 		t.Errorf("memory-only fallback broken: %v", err)
@@ -139,7 +139,7 @@ func TestInternCollapsesCanonicalTwins(t *testing.T) {
 		"//Trials[//Phase][//Status]//Trial",
 	}
 	for _, s := range spellings {
-		if _, err := e.RewriteExpr(context.Background(), RewriteRequest{Query: s, View: "//Trials//Trial"}); err != nil {
+		if _, err := rewriteText(e, Text{Query: s, View: "//Trials//Trial"}); err != nil {
 			t.Fatalf("%q: %v", s, err)
 		}
 	}
@@ -154,7 +154,7 @@ func TestInternCollapsesCanonicalTwins(t *testing.T) {
 		t.Errorf("internDedups = %d, want >= 1 (the second spelling collapsed)", st.InternDedups)
 	}
 	// Exact-text repeats skip the parse entirely.
-	if _, err := e.RewriteExpr(context.Background(), RewriteRequest{Query: spellings[0], View: "//Trials//Trial"}); err != nil {
+	if _, err := rewriteText(e, Text{Query: spellings[0], View: "//Trials//Trial"}); err != nil {
 		t.Fatal(err)
 	}
 	if st := e.Stats(); st.InternHits < 2 {
@@ -166,7 +166,7 @@ func TestInternCollapsesCanonicalTwins(t *testing.T) {
 // share one computation, and outcomes stay index-aligned.
 func TestRewriteBatch(t *testing.T) {
 	e := New(Config{CacheSize: 16})
-	outs := e.RewriteBatch(context.Background(), []RewriteRequest{
+	outs := e.RewriteBatch(context.Background(), []Text{
 		{Query: "//Trials[//Status][//Phase]//Trial", View: "//Trials//Trial"},
 		{Query: "//Trials[//Status//", View: "//Trials//Trial"},                // malformed
 		{Query: "//Trials[//Phase][//Status]//Trial", View: "//Trials//Trial"}, // canonical twin of item 0

@@ -1,4 +1,4 @@
-package structjoin
+package plan
 
 import (
 	"context"
@@ -11,6 +11,10 @@ import (
 	"qav/internal/xmltree"
 )
 
+// EvaluateIndexed over a whole-document forest is the structural-join
+// alternative to tpq's Pattern.Evaluate; these tests cross-check the
+// two engines.
+
 func TestEvaluateBasics(t *testing.T) {
 	d := xmltree.NewDocument(xmltree.Build("PharmaLab",
 		xmltree.Build("Trials",
@@ -21,8 +25,8 @@ func TestEvaluateBasics(t *testing.T) {
 			xmltree.Build("Trial", xmltree.Build("Patient")),
 		),
 	))
-	ix := Build(d)
-	if ix.Cardinality("Trial") != 3 || ix.Cardinality("nope") != 0 {
+	f := indexDoc(t, d)
+	if f.Cardinality("Trial") != 3 || f.Cardinality("Patient") != 3 || f.Cardinality("nope") != 0 {
 		t.Fatalf("cardinalities wrong")
 	}
 	cases := []struct {
@@ -39,13 +43,13 @@ func TestEvaluateBasics(t *testing.T) {
 	}
 	for _, tc := range cases {
 		p := tpq.MustParse(tc.expr)
-		got := evalIx(t, ix, p)
+		got := evalIndexed(t, f, p)
 		if len(got) != tc.want {
 			t.Errorf("%s: %d answers, want %d", tc.expr, len(got), tc.want)
 		}
 		// Agreement with the DP engine, including node identity.
 		want := p.Evaluate(d)
-		if !sameNodes(got, want) {
+		if !sameNodeSet(got, want) {
 			t.Errorf("%s: engines disagree", tc.expr)
 		}
 	}
@@ -59,10 +63,10 @@ func TestQuickEnginesAgree(t *testing.T) {
 		d := xmltree.Generate(rng, xmltree.GenSpec{
 			Tags: alphabet, MaxDepth: 6, MaxFanout: 3, TargetSize: 40,
 		})
-		ix := Build(d)
+		fo := indexDoc(t, d)
 		for i := 0; i < 5; i++ {
 			p := workload.RandomPattern(rng, alphabet, 6)
-			if !sameNodes(evalIx(t, ix, p), p.Evaluate(d)) {
+			if !sameNodeSet(evalIndexed(t, fo, p), p.Evaluate(d)) {
 				t.Logf("disagree on %s over %s", p, d)
 				return false
 			}
@@ -81,8 +85,7 @@ func TestEvaluateDeepChains(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		cur = cur.AddChild("b")
 	}
-	d := xmltree.NewDocument(root)
-	ix := Build(d)
+	f := indexDoc(t, xmltree.NewDocument(root))
 	for _, tc := range []struct {
 		expr string
 		want int
@@ -93,7 +96,7 @@ func TestEvaluateDeepChains(t *testing.T) {
 		{"//b/b", 10},
 		{"//b[b]", 10},
 	} {
-		if got := len(evalIx(t, ix, tpq.MustParse(tc.expr))); got != tc.want {
+		if got := len(evalIndexed(t, f, tpq.MustParse(tc.expr))); got != tc.want {
 			t.Errorf("%s: %d answers, want %d", tc.expr, got, tc.want)
 		}
 	}
@@ -101,20 +104,20 @@ func TestEvaluateDeepChains(t *testing.T) {
 
 func TestEvaluateSiblingIntervals(t *testing.T) {
 	// Two disjoint a-subtrees; descendants must not leak across.
-	d := xmltree.NewDocument(xmltree.Build("r",
+	f := indexDoc(t, xmltree.NewDocument(xmltree.Build("r",
 		xmltree.Build("a", xmltree.Build("x")),
 		xmltree.Build("a", xmltree.Build("y")),
-	))
-	ix := Build(d)
-	if got := len(evalIx(t, ix, tpq.MustParse("//a[//x]//y"))); got != 0 {
+	)))
+	if got := len(evalIndexed(t, f, tpq.MustParse("//a[//x]//y"))); got != 0 {
 		t.Errorf("//a[//x]//y leaked across sibling subtrees: %d answers", got)
 	}
-	if got := len(evalIx(t, ix, tpq.MustParse("//r[//x]//y"))); got != 1 {
+	if got := len(evalIndexed(t, f, tpq.MustParse("//r[//x]//y"))); got != 1 {
 		t.Errorf("//r[//x]//y = %d answers, want 1", got)
 	}
 }
 
-func sameNodes(a, b []*xmltree.Node) bool {
+// sameNodeSet reports whether a and b hold the same nodes, in any order.
+func sameNodeSet(a, b []*xmltree.Node) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -130,11 +133,21 @@ func sameNodes(a, b []*xmltree.Node) bool {
 	return true
 }
 
-// evalIx runs the indexed evaluator with a background context, failing
-// the test on error.
-func evalIx(tb testing.TB, ix *Index, p *tpq.Pattern) []*xmltree.Node {
+// indexDoc indexes d as a single-tree forest, failing the test on error.
+func indexDoc(tb testing.TB, d *xmltree.Document) *Forest {
 	tb.Helper()
-	out, err := ix.Evaluate(context.Background(), p)
+	f, err := IndexDocument(context.Background(), d)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return f
+}
+
+// evalIndexed runs EvaluateIndexed with a background context, failing
+// the test on error.
+func evalIndexed(tb testing.TB, f *Forest, p *tpq.Pattern) []*xmltree.Node {
+	tb.Helper()
+	out, err := EvaluateIndexed(context.Background(), f, p)
 	if err != nil {
 		tb.Fatal(err)
 	}

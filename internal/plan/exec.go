@@ -293,7 +293,8 @@ func joinForest(ctx context.Context, pr *program, f *Forest, pinRoot bool) ([]Ma
 // EvaluateIndexed evaluates a general (not root-pinned) pattern over
 // the forest with structural joins, honoring the pattern's root axis: a
 // Child root must match a tree root, a Descendant root may match
-// anywhere. This is the join core the structjoin package delegates to.
+// anywhere. Over an IndexDocument forest it is the structural-join
+// alternative to tpq's Pattern.Evaluate.
 func EvaluateIndexed(ctx context.Context, f *Forest, p *tpq.Pattern) ([]*xmltree.Node, error) {
 	if p == nil || p.Root == nil {
 		return nil, nil

@@ -118,7 +118,7 @@ func IndexSubtrees(ctx context.Context, d *xmltree.Document, viewNodes []*xmltre
 }
 
 // IndexDocument indexes one whole document as a single-tree forest —
-// the degenerate case the structjoin façade evaluates general (not
+// the degenerate case EvaluateIndexed evaluates general (not
 // root-pinned) patterns against.
 func IndexDocument(ctx context.Context, d *xmltree.Document) (*Forest, error) {
 	if d == nil || d.Root == nil {

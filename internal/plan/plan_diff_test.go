@@ -139,8 +139,8 @@ func TestPlanDiffRandom(t *testing.T) {
 // the forest's all-items candidate path in the structural joins. The
 // MCR algorithms reject wildcard queries (outside XP{/,//,[]}), so
 // these compensations are synthetic — the path still matters because
-// the structjoin façade evaluates arbitrary tpq patterns through the
-// same join core.
+// EvaluateIndexed evaluates arbitrary tpq patterns through the same
+// join core.
 func TestPlanDiffWildcards(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(7))

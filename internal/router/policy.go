@@ -33,30 +33,6 @@ func (p *roundRobin) order(key string, reps []*replica) []int {
 	return out
 }
 
-// leastLoaded ranks replicas by queueing pressure: the router's own
-// in-flight count toward the replica plus the replica's last-reported
-// load (handler in-flight + gate queue depth from /healthz). Ties
-// break by index so the ranking is deterministic.
-type leastLoaded struct{}
-
-func (leastLoaded) name() string { return "leastloaded" }
-
-func (leastLoaded) order(key string, reps []*replica) []int {
-	out := make([]int, len(reps))
-	load := make([]int64, len(reps))
-	for i, rep := range reps {
-		out[i] = i
-		load[i] = rep.inflight.Load()
-		if h := rep.health.Load(); h != nil {
-			load[i] += h.InFlight + h.Queued
-		}
-	}
-	sort.SliceStable(out, func(a, b int) bool {
-		return load[out[a]] < load[out[b]]
-	})
-	return out
-}
-
 // affinity implements rendezvous (highest-random-weight) hashing on
 // the canonical pattern key: every (replica, key) pair gets a hash
 // score and the replicas are ranked by score, so each canonical query

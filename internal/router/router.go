@@ -11,8 +11,7 @@
 //     queue depth and warm-cache load) plus passive signals
 //     (consecutive errors, timeouts) feeding per-replica circuit
 //     breakers (closed → open → half-open, seeded-jitter cooldowns);
-//   - pluggable routing policies: round-robin, least-loaded (from the
-//     health payload's load report), and canonical-affinity via
+//   - two routing policies: round-robin, and canonical-affinity via
 //     rendezvous hashing on the canonical pattern key — the policy
 //     that makes each replica's LRU + persistent warm tier actually
 //     hit, with automatic spill to the next-ranked replica when the
@@ -73,8 +72,8 @@ var (
 type Config struct {
 	// Replicas are the base URLs of the qavd fleet ("http://host:port").
 	Replicas []string
-	// Policy picks the routing policy: "affinity" (default),
-	// "roundrobin" or "leastloaded".
+	// Policy picks the routing policy: "affinity" (default) or
+	// "roundrobin".
 	Policy string
 	// Seed drives every jittered duration (breaker cooldowns, retry
 	// backoff) and makes chaos runs reproducible. 0 means seed 1.
@@ -254,10 +253,8 @@ func New(cfg Config) (*Router, error) {
 		r.policy = &affinity{}
 	case "roundrobin":
 		r.policy = &roundRobin{}
-	case "leastloaded":
-		r.policy = leastLoaded{}
 	default:
-		return nil, fmt.Errorf("router: unknown policy %q (want affinity, roundrobin or leastloaded)", cfg.Policy)
+		return nil, fmt.Errorf("router: unknown policy %q (want affinity or roundrobin)", cfg.Policy)
 	}
 	seen := make(map[string]bool, len(cfg.Replicas))
 	for _, raw := range cfg.Replicas {

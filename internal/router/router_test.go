@@ -481,14 +481,6 @@ func TestPolicies(t *testing.T) {
 		t.Fatal("order must rank every replica")
 	}
 
-	reps[0].inflight.Store(10)
-	reps[2].inflight.Store(1)
-	ll := leastLoaded{}
-	got := ll.order("k", reps)
-	if got[0] != 1 || got[2] != 0 {
-		t.Fatalf("least-loaded order %v, want [1 2 0]", got)
-	}
-
 	af := &affinity{}
 	o1 := af.order("key-1", reps)
 	o2 := af.order("key-1", reps)

@@ -11,10 +11,9 @@ import (
 // so a router polling /healthz stops routing to a replica before its
 // connections start dying.
 //
-// The load fields feed the router's least-loaded policy (InFlight +
-// Queued is the queueing signal) and its cache-affinity diagnostics
-// (CacheEntries/WarmEntries/CacheHits describe how warm this replica's
-// rewrite cache is).
+// The load fields feed the router's fleet diagnostics (InFlight +
+// Queued is the queueing signal; CacheEntries/WarmEntries/CacheHits
+// describe how warm this replica's rewrite cache is).
 type HealthPayload struct {
 	// Status is "ok" or "draining"; Draining is the same bit for
 	// programmatic consumers.

@@ -14,6 +14,16 @@ import (
 	"qav/internal/workload"
 )
 
+// rewriteText parses t and rewrites it through eng, as POST /v1/rewrite
+// does.
+func rewriteText(ctx context.Context, eng *engine.Engine, t engine.Text) (*rewrite.Result, error) {
+	req, err := eng.Parse(engine.OpRewrite, t)
+	if err != nil {
+		return nil, err
+	}
+	return eng.Rewrite(ctx, req)
+}
+
 // checkMemoBody serves res through writeRewrite twice (an encode, then
 // a memo hit, or a second encode for a Partial result) and requires
 // both responses to be byte-identical to a fresh writeJSON of the same
@@ -56,11 +66,11 @@ func TestRewriteBodyMemoByteIdentical(t *testing.T) {
 		if err != nil {
 			q = workload.RandomPattern(rng, alphabet, 6)
 		}
-		req := engine.RewriteRequest{Query: q.String(), View: v.String()}
+		req := engine.Text{Query: q.String(), View: v.String()}
 		if i%5 == 0 {
 			req.View = workload.RandomPattern(rng, alphabet, 5).String()
 		}
-		res, err := eng.RewriteExpr(ctx, req)
+		res, err := rewriteText(ctx, eng, req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +86,7 @@ func TestRewriteBodyMemoByteIdentical(t *testing.T) {
 	body := `{"query":"//a[b]//c","view":"//a//c"}`
 	first, _ := post(t, s.Handler(), "/v1/rewrite", body)
 	second, _ := post(t, s.Handler(), "/v1/rewrite", body)
-	res, err := eng.RewriteExpr(ctx, engine.RewriteRequest{Query: "//a[b]//c", View: "//a//c"})
+	res, err := rewriteText(ctx, eng, engine.Text{Query: "//a[b]//c", View: "//a//c"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +107,7 @@ func TestRewriteBodyMemoByteIdentical(t *testing.T) {
 func TestRewriteBodyMemoPartial(t *testing.T) {
 	eng := engine.New(engine.Config{MaxEmbeddings: 8})
 	s := NewService(eng)
-	res, err := eng.RewriteExpr(context.Background(), engine.RewriteRequest{
+	res, err := rewriteText(context.Background(), eng, engine.Text{
 		Query: workload.Fig8Query(6).String(), View: workload.Fig8View().String(),
 	})
 	if err != nil {

@@ -55,7 +55,6 @@ import (
 	"qav/internal/obs"
 	"qav/internal/plan"
 	"qav/internal/rewrite"
-	"qav/internal/tpq"
 	"qav/internal/viewstore"
 )
 
@@ -112,7 +111,7 @@ func NewService(eng *engine.Engine) *Service {
 
 // Service is the HTTP service with its lifecycle state: the handler
 // mux, the draining bit /healthz reports, and the in-flight request
-// gauge the health payload exposes for least-loaded routing.
+// gauge the health payload exposes to the router.
 type Service struct {
 	eng    *engine.Engine
 	mux    *http.ServeMux
@@ -235,6 +234,10 @@ type rewriteRequest struct {
 	Recursive bool   `json:"recursive,omitempty"`
 }
 
+func (r rewriteRequest) text() engine.Text {
+	return engine.Text{Query: r.Query, View: r.View, Schema: r.Schema, Recursive: r.Recursive}
+}
+
 type crJSON struct {
 	Rewriting    string `json:"rewriting"`
 	Compensation string `json:"compensation"`
@@ -258,9 +261,12 @@ func (s *Service) handleRewrite(w http.ResponseWriter, r *http.Request) {
 		httpError(w, decodeStatus(err), err)
 		return
 	}
-	res, err := s.eng.RewriteExpr(r.Context(), engine.RewriteRequest{
-		Query: req.Query, View: req.View, Schema: req.Schema, Recursive: req.Recursive,
-	})
+	parsed, err := s.eng.Parse(engine.OpRewrite, req.text())
+	if err != nil {
+		httpError(w, statusFor(err), err)
+		return
+	}
+	res, err := s.eng.Rewrite(r.Context(), parsed)
 	if err != nil {
 		httpError(w, statusFor(err), err)
 		return
@@ -367,11 +373,9 @@ func (s *Service) handleRewriteBatch(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("batch of %d items exceeds the limit of %d", len(req.Items), maxBatchItems))
 		return
 	}
-	reqs := make([]engine.RewriteRequest, len(req.Items))
+	reqs := make([]engine.Text, len(req.Items))
 	for i, it := range req.Items {
-		reqs[i] = engine.RewriteRequest{
-			Query: it.Query, View: it.View, Schema: it.Schema, Recursive: it.Recursive,
-		}
+		reqs[i] = it.text()
 	}
 	outs := s.eng.RewriteBatch(r.Context(), reqs)
 	resp := batchRewriteResponse{Items: make([]batchItemResponse, len(outs))}
@@ -446,41 +450,30 @@ func (s *Service) handleAnswer(w http.ResponseWriter, r *http.Request) {
 		httpError(w, decodeStatus(err), err)
 		return
 	}
-	if req.ViewName != "" {
-		if req.View != "" || req.Document != "" || req.Schema != "" {
-			httpError(w, http.StatusBadRequest,
-				errors.New("viewName is exclusive with view, document and schema"))
-			return
-		}
-		sa, err := s.eng.AnswerStoredExpr(r.Context(), req.Query, req.ViewName, req.Backend)
-		if err != nil {
-			httpError(w, statusFor(err), err)
-			return
-		}
-		resp := answerResponse{
-			Union:         sa.Result.Union.String(),
-			ViewTrees:     sa.Trees,
-			Partial:       sa.Result.Partial,
-			PartialReason: string(sa.Result.PartialReason),
-			Plan:          buildPlanJSON(sa.Plan, sa.Exec),
-		}
-		for _, n := range sa.Answers {
-			resp.Answers = append(resp.Answers, answerJSON{Path: n.Path(), Text: n.Text})
-		}
-		writeJSON(w, resp)
+	if req.ViewName != "" && (req.View != "" || req.Document != "" || req.Schema != "") {
+		httpError(w, http.StatusBadRequest,
+			errors.New("viewName is exclusive with view, document and schema"))
 		return
 	}
-	ans, err := s.eng.AnswerExpr(r.Context(), engine.AnswerRequest{
-		Query: req.Query, View: req.View, Document: req.Document,
-		Schema: req.Schema, Backend: req.Backend,
+	parsed, err := s.eng.Parse(engine.OpAnswer, engine.Text{
+		Query: req.Query, View: req.View, Document: req.Document, Schema: req.Schema,
+		ViewName: req.ViewName, Backend: req.Backend,
 	})
 	if err != nil {
 		httpError(w, statusFor(err), err)
 		return
 	}
+	ans, err := s.eng.Answer(r.Context(), parsed)
+	if err != nil {
+		httpError(w, statusFor(err), err)
+		return
+	}
+	// Direct answers report ViewNodes and DirectSize, stored-view
+	// answers ViewTrees; the other mode's fields are zero and omitted.
 	resp := answerResponse{
 		Union:         ans.Result.Union.String(),
 		ViewNodes:     len(ans.ViewNodes),
+		ViewTrees:     ans.Trees,
 		DirectSize:    len(ans.Direct),
 		Partial:       ans.Result.Partial,
 		PartialReason: string(ans.Result.PartialReason),
@@ -513,11 +506,15 @@ func (s *Service) handleRegisterView(w http.ResponseWriter, r *http.Request) {
 		httpError(w, decodeStatus(err), err)
 		return
 	}
-	m, err := s.eng.RegisterViewExpr(req.Name, req.View, req.Document)
+	// Registration's inputs are all plain client data, so every parse
+	// failure is a 400.
+	parsed, err := s.eng.Parse(engine.OpRegister, engine.Text{ViewName: req.Name, View: req.View, Document: req.Document})
 	if err != nil {
-		httpError(w, registerStatusFor(err), err)
+		httpError(w, http.StatusBadRequest, err)
 		return
 	}
+	m := viewstore.Materialize(parsed.View, parsed.Document)
+	s.eng.RegisterView(parsed.ViewName, m)
 	writeJSON(w, registerViewResponse{Name: req.Name, Trees: len(m.Forest), Nodes: m.Size()})
 }
 
@@ -539,9 +536,9 @@ func (s *Service) handleListViews(w http.ResponseWriter, r *http.Request) {
 		resp.Views = []string{}
 	}
 	if qExpr := r.URL.Query().Get("q"); qExpr != "" {
-		q, err := tpq.Parse(qExpr)
+		parsed, err := s.eng.Parse(engine.OpSelect, engine.Text{Query: qExpr})
 		if err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("q: %w", err))
+			httpError(w, http.StatusBadRequest, err)
 			return
 		}
 		k := 10
@@ -551,7 +548,7 @@ func (s *Service) handleListViews(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		sel, err := s.eng.SelectViews(r.Context(), q, k)
+		sel, err := s.eng.SelectViews(r.Context(), parsed.Query, k)
 		if err != nil {
 			httpError(w, statusFor(err), err)
 			return
@@ -581,9 +578,16 @@ func (s *Service) handleContain(w http.ResponseWriter, r *http.Request) {
 		httpError(w, decodeStatus(err), err)
 		return
 	}
-	pInQ, qInP, err := s.eng.ContainExpr(r.Context(), engine.ContainRequest{P: req.P, Q: req.Q, Schema: req.Schema})
+	// The contain endpoint's inputs are plain expressions, so parse
+	// failures are 400s.
+	parsed, err := s.eng.Parse(engine.OpContain, engine.Text{Query: req.P, View: req.Q, Schema: req.Schema})
 	if err != nil {
-		httpError(w, containStatusFor(err), err)
+		httpError(w, http.StatusBadRequest, err)
+		return
+	}
+	pInQ, qInP, err := s.eng.Contain(r.Context(), parsed.Query, parsed.View, parsed.Schema)
+	if err != nil {
+		httpError(w, statusFor(err), err)
 		return
 	}
 	writeJSON(w, containResponse{PInQ: pInQ, QInP: qInP})
@@ -609,27 +613,6 @@ func statusFor(err error) int {
 	default:
 		return http.StatusUnprocessableEntity
 	}
-}
-
-// containStatusFor preserves the contain endpoint's contract: its
-// inputs are plain expressions, so parse failures are 400s.
-func containStatusFor(err error) int {
-	var inv *engine.InvalidRequestError
-	if errors.As(err, &inv) {
-		return http.StatusBadRequest
-	}
-	return statusFor(err)
-}
-
-// registerStatusFor: view registration's inputs (name, view expression,
-// document) are all plain client data, so every validation failure is a
-// 400; pipeline errors keep the shared mapping.
-func registerStatusFor(err error) int {
-	var inv *engine.InvalidRequestError
-	if errors.As(err, &inv) {
-		return http.StatusBadRequest
-	}
-	return statusFor(err)
 }
 
 // decode parses exactly one JSON object from the request body. A body

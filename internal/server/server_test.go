@@ -660,3 +660,52 @@ func TestMetricsPlanStages(t *testing.T) {
 		t.Errorf("planCacheMisses = %v", eng["planCacheMisses"])
 	}
 }
+
+// Stored-view answers and containment checks parse through the engine's
+// interner like rewrites do: two canonical-twin spellings of a viewName
+// query return byte-identical bodies, the second collapses onto the
+// first's parsed pattern, every stored answer adds to the parse stage,
+// and a repeated contain text skips its parse.
+func TestStoredAnswerAndContainInterned(t *testing.T) {
+	eng := engine.New(engine.Config{})
+	h := NewWith(eng)
+	rec, _ := post(t, h, "/v1/views", `{"name":"src1","view":"//Trials//Trial",`+
+		`"document":"<PharmaLab><Trials><Trial><Patient>John</Patient><Status/><Phase/></Trial><Trial><Patient>Jen</Patient></Trial></Trials></PharmaLab>"}`)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("register: status %d: %s", rec.Code, rec.Body.String())
+	}
+	interned := func() int64 { st := eng.Stats(); return st.InternHits + st.InternDedups }
+	parses := func() int64 { return eng.MetricsSnapshot().Stages["parse"].Count }
+	var bodies []string
+	for i, q := range []string{"//Trials//Trial[Status][Phase]/Patient", "//Trials//Trial[Phase][Status]/Patient"} {
+		interned0, parses0 := interned(), parses()
+		rec, _ := post(t, h, "/v1/answer", `{"query":"`+q+`","viewName":"src1"}`)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", q, rec.Code, rec.Body.String())
+		}
+		if got := parses(); got != parses0+1 {
+			t.Errorf("%s: parse stage count %d -> %d, want one more", q, parses0, got)
+		}
+		if i == 1 && interned() <= interned0 {
+			t.Errorf("%s: canonical twin neither hit nor deduplicated in the interner", q)
+		}
+		bodies = append(bodies, rec.Body.String())
+	}
+	if bodies[0] != bodies[1] {
+		t.Fatalf("canonical twins answered differently:\n%s\n%s", bodies[0], bodies[1])
+	}
+	if !strings.Contains(bodies[0], `"John"`) {
+		t.Fatalf("answer lost: %s", bodies[0])
+	}
+
+	body := `{"p":"//c/d[e]","q":"//c//d"}`
+	post(t, h, "/v1/contain", body)
+	hits0 := eng.Stats().InternHits
+	rec, out := post(t, h, "/v1/contain", body)
+	if rec.Code != http.StatusOK || out["pInQ"] != true {
+		t.Fatalf("contain: status %d: %s", rec.Code, rec.Body.String())
+	}
+	if got := eng.Stats().InternHits; got != hits0+2 {
+		t.Errorf("repeated contain texts: intern hits %d -> %d, want two more", hits0, got)
+	}
+}

@@ -9,7 +9,6 @@ import (
 	"qav/internal/rewrite"
 	"qav/internal/schema"
 	"qav/internal/stream"
-	"qav/internal/structjoin"
 	"qav/internal/tpq"
 	"qav/internal/viewselect"
 	"qav/internal/viewstore"
@@ -113,8 +112,8 @@ type Engine = engine.Engine
 // enumeration budget).
 type EngineConfig = engine.Config
 
-// EngineRequest is a parsed rewriting request for Engine.Rewrite and
-// Engine.AnswerDoc.
+// EngineRequest is a parsed request for Engine.Rewrite and
+// Engine.Answer.
 type EngineRequest = engine.Request
 
 // NewEngine returns an Engine with the given bounds; the zero Config
@@ -222,14 +221,6 @@ func ShipView(v *Pattern, d *Document) *MaterializedView {
 func ReadShippedView(r io.Reader) (*MaterializedView, error) {
 	return viewstore.Read(r)
 }
-
-// DocumentIndex is an inverted element index supporting structural-join
-// evaluation of patterns — an alternative engine to Pattern.Evaluate
-// that is profitable when the pattern's tags are selective.
-type DocumentIndex = structjoin.Index
-
-// BuildIndex indexes a document for structural-join evaluation.
-func BuildIndex(d *Document) *DocumentIndex { return structjoin.Build(d) }
 
 // ViewSource names one source's view for multi-view rewriting.
 type ViewSource = rewrite.ViewSource

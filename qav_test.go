@@ -174,27 +174,6 @@ func TestPublicAPIShipAndMediate(t *testing.T) {
 	}
 }
 
-func TestPublicAPIIndex(t *testing.T) {
-	d, err := qav.ParseDocumentString(trialsXML)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix := qav.BuildIndex(d)
-	got, err := ix.Evaluate(context.Background(), qav.MustParseQuery("//Trials//Trial"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 {
-		t.Fatalf("indexed evaluation found %d, want 3", len(got))
-	}
-	if ix.Cardinality("Patient") != 3 {
-		t.Error("cardinality wrong")
-	}
-	if ix.Doc() != d {
-		t.Error("Doc() lost the document")
-	}
-}
-
 func TestPublicAPIRecursiveSchema(t *testing.T) {
 	s := qav.MustParseSchema("root a\na -> b*\nb -> b* c? d?\nc ->\nd ->")
 	rw := qav.NewSchemaRewriter(s)

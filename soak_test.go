@@ -19,11 +19,11 @@ import (
 	"qav/internal/engine"
 	"qav/internal/fault"
 	"qav/internal/leaktest"
+	"qav/internal/plan"
 	"qav/internal/rewrite"
 	"qav/internal/schema"
 	"qav/internal/server"
 	"qav/internal/stream"
-	"qav/internal/structjoin"
 	"qav/internal/tpq"
 	"qav/internal/workload"
 	"qav/internal/xmltree"
@@ -76,11 +76,14 @@ func TestSoakEndToEndPipeline(t *testing.T) {
 		}
 
 		// All three engines agree on both q and v.
-		ix := structjoin.Build(d)
+		f, err := plan.IndexDocument(context.Background(), d)
+		if err != nil {
+			t.Fatal(err)
+		}
 		xmlSrc := d.XMLString()
 		for _, p := range []*tpq.Pattern{q, v} {
 			mem := p.Evaluate(d)
-			sj, err := ix.Evaluate(context.Background(), p)
+			sj, err := plan.EvaluateIndexed(context.Background(), f, p)
 			if err != nil {
 				t.Fatal(err)
 			}
