@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"qav"
+	"qav/internal/plan"
 )
 
 const trialsXML = `<PharmaLab>
@@ -171,6 +172,50 @@ func TestPublicAPIShipAndMediate(t *testing.T) {
 	}
 	if len(answers) != 1 || answers[0].Text != "John Doe" {
 		t.Fatalf("mediated answers = %v", answers)
+	}
+}
+
+// Structural-join (indexed) evaluation is reached through an Engine
+// answer that forces the StructJoin plan backend.
+func TestPublicAPIIndex(t *testing.T) {
+	d, err := qav.ParseDocumentString(trialsXML)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := qav.NewEngine(qav.EngineConfig{})
+	ans, err := e.Answer(context.Background(), qav.EngineRequest{
+		Query:       qav.MustParseQuery("//Trials//Trial"),
+		View:        qav.MustParseQuery("//Trials"),
+		Document:    d,
+		PlanBackend: plan.StructJoin,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ans.Answers) != 3 {
+		t.Fatalf("indexed evaluation found %d, want 3", len(ans.Answers))
+	}
+	for _, b := range ans.Exec.Backends {
+		if b != plan.StructJoin {
+			t.Errorf("program ran with backend %v, want %v", b, plan.StructJoin)
+		}
+	}
+	if len(ans.Direct) != len(ans.Answers) {
+		t.Fatalf("direct evaluation found %d, indexed %d", len(ans.Direct), len(ans.Answers))
+	}
+	patients := 0
+	for i, n := range ans.Answers {
+		if n != ans.Direct[i] {
+			t.Errorf("answer %d is not the document's node", i)
+		}
+		for _, c := range n.Children {
+			if c.Tag == "Patient" {
+				patients++
+			}
+		}
+	}
+	if patients != 3 {
+		t.Errorf("answers hold %d Patient children, want 3", patients)
 	}
 }
 
