@@ -522,7 +522,7 @@ func expCache(ctx context.Context, eng *engine.Engine, seed int64) {
 
 // E14 (answer plans): end-to-end answering over a ~10^6-node corpus —
 // per-CR naive evaluation vs the compiled plan under each forced
-// backend and the auto heuristic. The plan is compiled once and the
+// backend and Auto. The plan is compiled once and the
 // forest indexed once (both timed); exec is timed per backend.
 func expAnswer(ctx context.Context, eng *engine.Engine, seed int64) {
 	w := table("E14 answer plans: compiled plan vs naive per-CR evaluation",

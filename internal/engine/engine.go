@@ -302,7 +302,7 @@ type Request struct {
 	// the raw pipeline, and by callers that will mutate the result).
 	NoCache bool
 	// PlanBackend forces the answer-plan execution backend for this
-	// request; the zero value (plan.Auto) selects per program.
+	// request; the zero value (plan.Auto) runs the structural joins.
 	PlanBackend plan.Backend
 	// Document is the source a direct Answer materializes View over; it
 	// is required unless ViewName is set.

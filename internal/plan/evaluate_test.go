@@ -3,6 +3,7 @@ package plan
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -152,4 +153,95 @@ func evalIndexed(tb testing.TB, f *Forest, p *tpq.Pattern) []*xmltree.Node {
 		tb.Fatal(err)
 	}
 	return out
+}
+
+// TestQuickEnginesAgreeChainsWildcards cross-checks EvaluateIndexed
+// with the DP engine on same-tag chains and wildcard patterns, where
+// the descendant merges see deeply nested intervals and the wildcard
+// candidate list is every position.
+func TestQuickEnginesAgreeChainsWildcards(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		d := xmltree.Generate(rng, xmltree.GenSpec{
+			Tags: []string{"a", "a", "a", "b"}, MaxDepth: 9, MaxFanout: 2, TargetSize: 50,
+		})
+		fo := indexDoc(t, d)
+		for i := 0; i < 5; i++ {
+			p := workload.RandomPattern(rng, []string{"a", "b", tpq.Wildcard}, 6)
+			if !sameNodeSet(evalIndexed(t, fo, p), p.Evaluate(d)) {
+				t.Logf("disagree on %s over %s", p, d)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestJoinsAgainstBruteForce checks each linear merge against its
+// definition on random position lists of shipped and nested shared
+// forests, and that the child joins hand their bitset back zeroed.
+func TestJoinsAgainstBruteForce(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(77))
+	for iter := 0; iter < 200; iter++ {
+		d := xmltree.Generate(rng, xmltree.GenSpec{
+			Tags: []string{"a", "a", "b"}, MaxDepth: 6, MaxFanout: 3, TargetSize: 30,
+		})
+		var f *Forest
+		var err error
+		if iter%2 == 0 {
+			f, err = IndexSubtrees(ctx, d, tpq.MustParse("//a").Evaluate(d))
+		} else {
+			f, err = IndexForest(ctx, []*xmltree.Document{d, d.Clone(), d.Clone()})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		sample := func() []int32 {
+			var out []int32
+			for p := range f.nodes {
+				if rng.Intn(3) == 0 {
+					out = append(out, int32(p))
+				}
+			}
+			return out
+		}
+		isParent := func(u, l int32) bool { return f.parent[l] == u }
+		isAncestor := func(u, l int32) bool { return u < l && l <= f.end[u] }
+		bits := make([]uint64, (len(f.nodes)+63)/64)
+		for _, axis := range []tpq.Axis{tpq.Child, tpq.Descendant} {
+			rel := isParent
+			if axis == tpq.Descendant {
+				rel = isAncestor
+			}
+			upper, lower := sample(), sample()
+			var wantSemi, wantDown []int32
+			for _, u := range upper {
+				if slices.ContainsFunc(lower, func(l int32) bool { return rel(u, l) }) {
+					wantSemi = append(wantSemi, u)
+				}
+			}
+			for _, l := range lower {
+				if slices.ContainsFunc(upper, func(u int32) bool { return rel(u, l) }) {
+					wantDown = append(wantDown, l)
+				}
+			}
+			gotSemi := f.semiJoin(bits, upper, lower, axis, make([]int32, len(upper)))
+			gotDown := f.downJoin(bits, upper, lower, axis, make([]int32, len(lower)))
+			if !slices.Equal(gotSemi, wantSemi) || !slices.Equal(gotDown, wantDown) {
+				t.Fatalf("axis %v: semi %v want %v; down %v want %v", axis, gotSemi, wantSemi, gotDown, wantDown)
+			}
+			// In place: a list already in its owned region filters there.
+			own := slices.Clone(upper)
+			if got := f.semiJoin(bits, own, lower, axis, own); !slices.Equal(got, wantSemi) {
+				t.Fatalf("axis %v: in-place semi %v want %v", axis, got, wantSemi)
+			}
+			if slices.ContainsFunc(bits, func(w uint64) bool { return w != 0 }) {
+				t.Fatalf("axis %v: joins left bits set", axis)
+			}
+		}
+	}
 }

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"qav/internal/fault"
@@ -24,12 +24,12 @@ var faultExec = fault.Register(names.FaultPlanExec)
 type Backend int
 
 const (
-	// Auto picks per program and forest: structural joins when the
-	// candidate lists are selective, the per-tree dynamic program
-	// otherwise, and the streaming evaluator when the DP's bitmaps
-	// would not fit the resident budget.
+	// Auto runs StructJoin: its linear merges cost O(Σ|lists|) ≤
+	// O(|E|·|F|), the per-tree DP's work, and measured faster than
+	// both other backends on dense and sparse tags alike (EXPERIMENTS.md
+	// E19).
 	Auto Backend = iota
-	// StructJoin joins the forest's inverted tag lists bottom-up, then
+	// StructJoin merges the forest's sorted tag lists bottom-up, then
 	// walks the distinguished path top-down — work proportional to the
 	// candidate lists, not the forest.
 	StructJoin
@@ -37,7 +37,7 @@ const (
 	// |E| × |forest| with small constants.
 	TreeDP
 	// Stream replays each tree through the SAX evaluator — the
-	// bounded-memory fallback, O(depth · |E|) resident per tree.
+	// bounded-memory evaluator, O(depth · |E|) resident per tree.
 	Stream
 )
 
@@ -61,15 +61,10 @@ func ParseBackend(s string) (Backend, error) {
 	return Auto, fmt.Errorf("plan: unknown backend %q", s)
 }
 
-// dpCellBudget bounds the |E| × |tree| boolean matrices of the TreeDP
-// backend; beyond it Auto degrades to the streaming evaluator, whose
-// residency is O(depth · |E|) regardless of tree size.
-const dpCellBudget = 1 << 26
-
 // ExecOptions tune one plan execution.
 type ExecOptions struct {
-	// Backend forces one backend for every program; Auto selects per
-	// program using the forest's statistics.
+	// Backend forces one backend for every program; Auto runs the
+	// structural joins.
 	Backend Backend
 	// Parallel bounds the number of programs executing concurrently;
 	// <= 0 means GOMAXPROCS.
@@ -123,15 +118,20 @@ func (p *Plan) Exec(ctx context.Context, f *Forest, opts ExecOptions) (*ExecResu
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	backends := make([]Backend, len(p.programs))
-	for i, pr := range p.programs {
-		backends[i] = chooseBackend(pr, f, opts.Backend)
+	backend := opts.Backend
+	if backend == Auto {
+		backend = StructJoin
 	}
-	per := make([][]Match, len(p.programs))
+	backends := make([]Backend, len(p.programs))
+	for i := range backends {
+		backends[i] = backend
+	}
+	per := make([][]int32, len(p.programs))
+	scratches := make([]*scratch, len(p.programs))
 	errs := make([]error, len(p.programs))
 	if par := parallelism(opts.Parallel, len(p.programs)); par <= 1 {
 		for i, pr := range p.programs {
-			per[i], errs[i] = runProgram(ctx, pr, f, backends[i])
+			per[i], scratches[i], errs[i] = runProgram(ctx, pr, f, backend)
 			if errs[i] != nil {
 				break
 			}
@@ -152,7 +152,7 @@ func (p *Plan) Exec(ctx context.Context, f *Forest, opts ExecOptions) (*ExecResu
 				// never a process crash: indices are disjoint, so the
 				// write needs no lock.
 				defer guard.Rescue("plan.exec", func(err error) { errs[i] = err })
-				per[i], errs[i] = runProgram(ctx, pr, f, backends[i])
+				per[i], scratches[i], errs[i] = runProgram(ctx, pr, f, backend)
 			}(i, pr)
 		}
 		wg.Wait()
@@ -165,7 +165,13 @@ func (p *Plan) Exec(ctx context.Context, f *Forest, opts ExecOptions) (*ExecResu
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return &ExecResult{Matches: mergeMatches(f, per), Backends: backends}, nil
+	res := &ExecResult{Matches: f.matches(f.union(per)), Backends: backends}
+	for _, sc := range scratches {
+		if sc != nil {
+			f.putScratch(sc)
+		}
+	}
+	return res, nil
 }
 
 func parallelism(requested, programs int) int {
@@ -179,60 +185,48 @@ func parallelism(requested, programs int) int {
 	return par
 }
 
-// chooseBackend implements the selection heuristic (see the DESIGN.md
-// "Answer plans" section): structural joins when the candidate lists
-// are selective — their total length below |E|·|F|/8 — since join work
-// is proportional to the lists; otherwise the per-tree DP, whose
-// |E|·|F| scan has better constants on dense tags; and the streaming
-// evaluator when the DP's per-tree bitmaps would exceed dpCellBudget.
-func chooseBackend(pr *program, f *Forest, forced Backend) Backend {
-	if forced != Auto {
-		return forced
-	}
-	sum := 0
-	for _, o := range pr.ops {
-		sum += f.cardinalityFor(o.tag)
-	}
-	if sum*8 <= len(pr.ops)*f.size {
-		return StructJoin
-	}
-	if len(pr.ops)*f.maxTree > dpCellBudget {
-		return Stream
-	}
-	return TreeDP
-}
-
-func runProgram(ctx context.Context, pr *program, f *Forest, b Backend) ([]Match, error) {
+// runProgram returns the program's answer positions, ascending, with
+// the scratch they may alias (nil for the DP and streaming backends),
+// which the caller pools again once it is done with the positions. A
+// panicking run returns nothing, so its scratch is never reused.
+func runProgram(ctx context.Context, pr *program, f *Forest, b Backend) ([]int32, *scratch, error) {
 	switch b {
 	case TreeDP:
-		return runTreeDP(ctx, pr, f)
+		pos, err := runTreeDP(ctx, pr, f)
+		return pos, nil, err
 	case Stream:
-		return runStream(ctx, pr, f)
+		pos, err := runStream(ctx, pr, f)
+		return pos, nil, err
 	default:
-		return joinForest(ctx, pr, f, true)
+		sc := f.getScratch()
+		pos, err := joinForest(ctx, pr, f, true, sc)
+		return pos, sc, err
 	}
 }
 
 // runTreeDP evaluates the program by pinning the compiled pattern to
 // each tree root in turn — the naive per-tree strategy, compiled once.
-func runTreeDP(ctx context.Context, pr *program, f *Forest) ([]Match, error) {
-	var out []Match
+// Its answers come back in window order, which maps onto positions by
+// their preorder offset from the tree root.
+func runTreeDP(ctx context.Context, pr *program, f *Forest) ([]int32, error) {
+	var out []int32
 	for ti, t := range f.trees {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
+		base, off := f.roots[ti], t.Root.Index
 		for _, n := range pr.prep.EvaluateAt(t.Doc, t.Root) {
-			out = append(out, Match{Tree: ti, Node: n})
+			out = append(out, base+int32(n.Index-off))
 		}
 	}
 	return out, nil
 }
 
 // runStream replays each tree through the SAX evaluator. The answers
-// come back as preorder positions within the walked subtree, which map
-// straight onto the tree's window.
-func runStream(ctx context.Context, pr *program, f *Forest) ([]Match, error) {
-	var out []Match
+// come back as preorder positions within the walked subtree, which are
+// offsets from the tree's root position.
+func runStream(ctx context.Context, pr *program, f *Forest) ([]int32, error) {
+	var out []int32
 	for ti, t := range f.trees {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -241,53 +235,65 @@ func runStream(ctx context.Context, pr *program, f *Forest) ([]Match, error) {
 		if err != nil {
 			return nil, err
 		}
-		window := t.Doc.Window(t.Root)
 		for _, a := range answers {
-			out = append(out, Match{Tree: ti, Node: window[a.Index]})
+			out = append(out, f.roots[ti]+int32(a.Index))
 		}
 	}
 	return out, nil
 }
 
 // joinForest is the structural-join backend: bottom-up semi-joins over
-// the inverted lists compute, per pattern node, the forest items whose
-// subtree embeds the pattern subtree; a top-down pass along the
-// distinguished path then selects the output items. pinRoot restricts
-// the root candidates to the tree roots (the compensation pinning); the
-// general entry point (EvaluateIndexed) passes the pattern's own root
-// axis semantics instead.
-func joinForest(ctx context.Context, pr *program, f *Forest, pinRoot bool) ([]Match, error) {
-	lists := make([][]item, len(pr.ops))
-	for i := len(pr.ops) - 1; i >= 0; i-- {
+// the sorted position lists compute, per pattern node, the positions
+// whose subtree embeds the pattern subtree; a top-down pass along the
+// distinguished path then selects the output positions. pinRoot
+// restricts the root candidates to the tree roots (the compensation
+// pinning); the general entry point (EvaluateIndexed) passes the
+// pattern's own root axis semantics instead. Every join is one linear
+// merge of its two lists. A join only ever narrows a pattern node's
+// candidates, so each node owns an arena region as long as its initial
+// list and is filtered there in place; the result aliases sc's arena
+// and is valid until sc goes back to the pool.
+func joinForest(ctx context.Context, pr *program, f *Forest, pinRoot bool, sc *scratch) ([]int32, error) {
+	n := len(pr.ops)
+	lists := slices.Grow(sc.lists[:0], n)[:n]
+	owned := slices.Grow(sc.owned[:0], n)[:n]
+	need := 0
+	for i, o := range pr.ops {
+		if i == 0 && pinRoot {
+			lists[i] = f.rootList(o.tag)
+		} else {
+			lists[i] = f.list(o.tag)
+		}
+		need += len(lists[i])
+	}
+	if cap(sc.arena) < need {
+		sc.arena = make([]int32, need)
+	}
+	off := 0
+	for i, l := range lists {
+		owned[i] = sc.arena[off : off+len(l) : off+len(l)]
+		off += len(l)
+	}
+	sc.lists, sc.owned = lists, owned
+	for i := n - 1; i >= 0; i-- {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		var cand []item
-		if i == 0 && pinRoot {
-			cand = f.rootItems(pr.ops[0].tag)
-		} else {
-			cand = f.itemsFor(pr.ops[i].tag)
-		}
 		for _, c := range pr.ops[i].children {
-			if len(cand) == 0 {
+			if len(lists[i]) == 0 {
 				break
 			}
-			cand = semiJoinItems(cand, lists[c], pr.ops[c].axis)
+			lists[i] = f.semiJoin(sc.bits, lists[i], lists[c], pr.ops[c].axis, owned[i])
 		}
-		lists[i] = cand
 	}
 	cur := lists[0]
 	for _, pos := range pr.path[1:] {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		cur = downJoinItems(cur, lists[pos], pr.ops[pos].axis)
+		cur = f.downJoin(sc.bits, cur, lists[pos], pr.ops[pos].axis, owned[pos])
 	}
-	out := make([]Match, 0, len(cur))
-	for _, it := range cur {
-		out = append(out, Match{Tree: int(it.tree), Node: it.node})
-	}
-	return out, nil
+	return cur, nil
 }
 
 // EvaluateIndexed evaluates a general (not root-pinned) pattern over
@@ -303,174 +309,189 @@ func EvaluateIndexed(ctx context.Context, f *Forest, p *tpq.Pattern) ([]*xmltree
 		return nil, err
 	}
 	pr := lower("", tpq.SubtreePattern(p.Root, p.Root.Axis, p.Output))
-	var matches []Match
-	var err error
-	if pr.ops[0].axis == tpq.Child {
-		matches, err = joinForest(ctx, pr, f, true)
-	} else {
-		matches, err = joinForest(ctx, pr, f, false)
-	}
+	sc := f.getScratch()
+	pos, err := joinForest(ctx, pr, f, pr.ops[0].axis == tpq.Child, sc)
 	if err != nil {
 		return nil, err
 	}
-	res := &ExecResult{Matches: mergeMatches(f, [][]Match{matches})}
+	res := &ExecResult{Matches: f.matches(f.union([][]int32{pos}))}
+	f.putScratch(sc)
 	return res.Nodes(), nil
 }
 
-// semiJoinItems keeps the items ∈ upper that have a same-tree witness
-// in lower via the given axis. Both lists are in packed-key order;
-// output preserves order.
-func semiJoinItems(upper, lower []item, axis tpq.Axis) []item {
+// subset narrows src one keep decision at a time into dst, the arena
+// region src's pattern node owns. It shares src itself until the first
+// element is dropped, so a join that filters nothing copies nothing,
+// and a src already in dst is filtered in place.
+type subset struct {
+	src, dst []int32
+	n        int
+	cut      bool
+}
+
+func (s *subset) keep(i int, ok bool) {
+	if ok {
+		if s.cut {
+			s.dst[s.n] = s.src[i]
+			s.n++
+		}
+		return
+	}
+	if !s.cut {
+		s.cut = true
+		if &s.src[0] != &s.dst[0] {
+			copy(s.dst, s.src[:i])
+		}
+		s.n = i
+	}
+}
+
+func (s *subset) list() []int32 {
+	if s.cut {
+		return s.dst[:s.n]
+	}
+	return s.src
+}
+
+func setBit(bits []uint64, p int32)      { bits[p>>6] |= 1 << uint(p&63) }
+func hasBit(bits []uint64, p int32) bool { return bits[p>>6]&(1<<uint(p&63)) != 0 }
+
+// semiJoin keeps the positions ∈ upper that have a witness in lower via
+// the given axis: a child whose parent they are, or a descendant in
+// their interval (u, end[u]]. Both lists ascend; so does the output,
+// which is upper itself or lies in dst. bits is zero on entry and on
+// return.
+func (f *Forest) semiJoin(bits []uint64, upper, lower []int32, axis tpq.Axis, dst []int32) []int32 {
 	if len(lower) == 0 {
 		return nil
 	}
-	var out []item
+	s := subset{src: upper, dst: dst}
 	switch axis {
 	case tpq.Child:
-		// Witness iff some lower item's parent is the upper item:
-		// binary-search the sorted packed keys of the parents. A lower
-		// node whose parent lies outside its window packs to a key
-		// below the window, which no upper item carries.
-		parents := parentKeys(lower)
-		for _, it := range upper {
-			if containsKey(parents, it.key()) {
-				out = append(out, it)
+		for _, l := range lower {
+			if p := f.parent[l]; p >= 0 {
+				setBit(bits, p)
+			}
+		}
+		for i, u := range upper {
+			s.keep(i, hasBit(bits, u))
+		}
+		for _, l := range lower {
+			if p := f.parent[l]; p >= 0 {
+				bits[p>>6] = 0
 			}
 		}
 	case tpq.Descendant:
-		// Witness iff some same-tree lower item lies inside
-		// (Index, end]: binary search the first lower item after it.
-		for _, it := range upper {
-			j := sort.Search(len(lower), func(i int) bool {
-				return lower[i].key() > it.key()
-			})
-			if j < len(lower) && lower[j].tree == it.tree && it.node.IsAncestorOf(lower[j].node) {
-				out = append(out, it)
+		// The first lower position after u is u's witness iff it lies
+		// inside u's interval; u ascends, so the cursor only moves on.
+		j := 0
+		for i, u := range upper {
+			for j < len(lower) && lower[j] <= u {
+				j++
 			}
+			s.keep(i, j < len(lower) && lower[j] <= f.end[u])
 		}
 	}
-	return out
+	return s.list()
 }
 
-// downJoinItems keeps the items ∈ lower that have a same-tree parent
-// (Child) or ancestor (Descendant) in upper. Both lists are in
-// packed-key order.
-func downJoinItems(upper, lower []item, axis tpq.Axis) []item {
+// downJoin keeps the positions ∈ lower whose parent (Child) or some
+// ancestor (Descendant) is in upper. Both lists ascend; so does the
+// output, which is lower itself or lies in dst. bits is zero on entry
+// and on return.
+func (f *Forest) downJoin(bits []uint64, upper, lower []int32, axis tpq.Axis, dst []int32) []int32 {
 	if len(upper) == 0 || len(lower) == 0 {
 		return nil
 	}
-	var out []item
+	s := subset{src: lower, dst: dst}
 	switch axis {
 	case tpq.Child:
-		ups := make([]uint64, len(upper))
-		for i, it := range upper {
-			ups[i] = it.key()
+		for _, u := range upper {
+			setBit(bits, u)
 		}
-		for _, m := range lower {
-			if m.node.Parent != nil && containsKey(ups, packKey(m.tree, m.node.Parent.Index)) {
-				out = append(out, m)
-			}
+		for i, l := range lower {
+			p := f.parent[l]
+			s.keep(i, p >= 0 && hasBit(bits, p))
+		}
+		for _, u := range upper {
+			bits[u>>6] = 0
 		}
 	case tpq.Descendant:
-		// Merge the upper intervals (Index, end] into disjoint covered
-		// key ranges. Intervals of one tree nest or are disjoint, so
-		// they collapse; ranges are never merged across trees, the
-		// tree id in the high bits notwithstanding.
-		type span struct{ lo, hi uint64 }
-		spans := make([]span, 0, len(upper))
-		for _, it := range upper { // already key-sorted
-			end := it.node.SubtreeEnd()
-			if end <= it.node.Index {
-				continue
-			}
-			s := span{packKey(it.tree, it.node.Index+1), packKey(it.tree, end)}
-			if len(spans) > 0 {
-				prev := &spans[len(spans)-1]
-				if s.lo>>32 == prev.hi>>32 && s.lo <= prev.hi+1 {
-					if s.hi > prev.hi {
-						prev.hi = s.hi
-					}
-					continue
+		// l has an ancestor in upper iff some u < l has end[u] ≥ l, so
+		// a running maximum of end over the upper positions below l
+		// decides it. Intervals never span trees, so neither can a
+		// match.
+		i, maxEnd := 0, int32(-1)
+		for k, l := range lower {
+			for i < len(upper) && upper[i] < l {
+				if e := f.end[upper[i]]; e > maxEnd {
+					maxEnd = e
 				}
+				i++
 			}
-			spans = append(spans, s)
-		}
-		for _, m := range lower {
-			k := m.key()
-			j := sort.Search(len(spans), func(i int) bool {
-				return spans[i].hi >= k
-			})
-			if j < len(spans) && spans[j].lo <= k {
-				out = append(out, m)
-			}
+			s.keep(k, maxEnd >= l)
 		}
 	}
-	return out
+	return s.list()
 }
 
-// parentKeys returns the sorted distinct packed keys of the items'
-// parents (within the same tree).
-func parentKeys(items []item) []uint64 {
-	out := make([]uint64, 0, len(items))
-	for _, it := range items {
-		if it.node.Parent != nil {
-			out = append(out, packKey(it.tree, it.node.Parent.Index))
+// union merges the per-program answer positions with document-order
+// dedup. In a shipped forest a position is a node, so the union is the
+// ascending distinct positions — a single program's list as is. In a
+// shared forest one node can hold a position in several windows; the
+// union orders by global preorder and keeps each node once, at its
+// first window.
+func (f *Forest) union(per [][]int32) []int32 {
+	var only []int32
+	lists, total := 0, 0
+	for _, ps := range per {
+		if len(ps) > 0 {
+			only = ps
+			lists++
+			total += len(ps)
 		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	w := 0
-	for i, v := range out {
-		if i == 0 || v != out[w-1] {
-			out[w] = v
-			w++
-		}
-	}
-	return out[:w]
-}
-
-// containsKey reports membership in a sorted key slice.
-func containsKey(sorted []uint64, k uint64) bool {
-	i := sort.Search(len(sorted), func(j int) bool { return sorted[j] >= k })
-	return i < len(sorted) && sorted[i] == k
-}
-
-// mergeMatches unions the per-program matches with document-order
-// dedup: global preorder for a shared-document forest (where one node
-// may match under several windows and across programs), (tree,
-// preorder) order for a shipped forest.
-func mergeMatches(f *Forest, per [][]Match) []Match {
-	total := 0
-	for _, ms := range per {
-		total += len(ms)
 	}
 	if total == 0 {
 		return nil
 	}
-	all := make([]Match, 0, total)
-	for _, ms := range per {
-		all = append(all, ms...)
-	}
-	if f.shared {
-		sort.Slice(all, func(i, j int) bool {
-			if all[i].Node.Index != all[j].Node.Index {
-				return all[i].Node.Index < all[j].Node.Index
-			}
-			return all[i].Tree < all[j].Tree
-		})
-	} else {
-		sort.Slice(all, func(i, j int) bool {
-			ki := packKey(int32(all[i].Tree), all[i].Node.Index)
-			kj := packKey(int32(all[j].Tree), all[j].Node.Index)
-			return ki < kj
-		})
-	}
-	seen := make(map[*xmltree.Node]bool, len(all))
-	out := all[:0]
-	for _, m := range all {
-		if !seen[m.Node] {
-			seen[m.Node] = true
-			out = append(out, m)
+	if !f.shared {
+		if lists == 1 {
+			return only
 		}
+		all := make([]int32, 0, total)
+		for _, ps := range per {
+			all = append(all, ps...)
+		}
+		slices.Sort(all)
+		return slices.Compact(all)
+	}
+	// Key each position by (global preorder, position): positions of
+	// one node ascend with the window, so the first of a run of equal
+	// preorders is the node's first window.
+	keys := make([]uint64, 0, total)
+	for _, ps := range per {
+		for _, p := range ps {
+			keys = append(keys, uint64(f.nodes[p].Index)<<32|uint64(p))
+		}
+	}
+	slices.Sort(keys)
+	out := make([]int32, 0, len(keys))
+	for i, k := range keys {
+		if i == 0 || k>>32 != keys[i-1]>>32 {
+			out = append(out, int32(uint32(k)))
+		}
+	}
+	return out
+}
+
+// matches resolves answer positions to their trees and nodes.
+func (f *Forest) matches(pos []int32) []Match {
+	if len(pos) == 0 {
+		return nil
+	}
+	out := make([]Match, len(pos))
+	for i, p := range pos {
+		out[i] = Match{Tree: int(f.tree[p]), Node: f.nodes[p]}
 	}
 	return out
 }

@@ -3,6 +3,7 @@ package plan
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 
 	"qav/internal/obs"
@@ -20,52 +21,45 @@ type Tree struct {
 	Root *xmltree.Node
 }
 
-// item is one occurrence of a tag in the forest. Items are kept in
-// (tree, preorder) order; the packed key makes that order — and the
-// parent/ancestor membership tests of the structural joins — a single
-// uint64 comparison.
-type item struct {
-	tree int32
-	node *xmltree.Node
-}
-
-// key packs (tree, preorder index) into one comparable word. Interval
-// labels are only meaningful within a tree, and the tree id in the high
-// bits keeps every join from ever matching across trees.
-func (it item) key() uint64 { return packKey(it.tree, it.node.Index) }
-
-func packKey(tree int32, index int) uint64 {
-	return uint64(uint32(tree))<<32 | uint64(uint32(index))
-}
-
-// Forest is the execution-side index of a materialized view forest:
-// inverted tag lists over every tree, in global (tree, preorder) order,
-// built once per forest and immutable afterwards. Programs compiled by
-// Compile execute against it; see Plan.Exec.
+// Forest is the execution-side index of a materialized view forest,
+// built once per forest and immutable afterwards. Every indexed node
+// occupies one position: its index in the concatenation of the trees'
+// preorder windows, so positions run in (tree, preorder) order and a
+// node's proper descendants are exactly the positions (p, end[p]].
+// The index is a set of int32 columns over positions plus sorted
+// per-tag position lists; programs compiled by Compile join those lists
+// (see Plan.Exec) and resolve positions to nodes only for their answers.
 type Forest struct {
 	trees []Tree
-	// byTag lists every occurrence of a tag across the forest in
-	// (tree, preorder) order. Nodes of a shared document that fall in
-	// several (nested) view windows appear once per window, so joins
-	// confined to one tree always see the full window contents.
-	byTag map[string][]item
-	// roots lists the tree roots in tree order — the candidates
-	// compensation roots are pinned to.
-	roots []item
+	// parent is the position of a node's parent within the same
+	// window, or -1 for a window root; end is the last position of its
+	// subtree; tree is the tree the position belongs to.
+	parent []int32
+	end    []int32
+	tree   []int32
+	// nodes resolves a position to its document node.
+	nodes []*xmltree.Node
+	// roots holds each tree's root position, in tree order: tree i
+	// spans positions roots[i] .. roots[i+1]-1.
+	roots []int32
+	// byTag and rootsByTag list the positions (respectively the tree
+	// root positions) carrying each tag, ascending. Nodes of a shared
+	// document that fall in several (nested) view windows hold one
+	// position per window, so joins confined to one tree always see
+	// the full window contents.
+	byTag      map[string][]int32
+	rootsByTag map[string][]int32
 	// shared marks forests whose trees are windows of one document;
 	// answers are then returned in global document order rather than
-	// (tree, preorder) order.
+	// position order.
 	shared bool
-	// size is the total number of indexed items; maxTree the largest
-	// single tree. Both feed the backend-selection heuristic.
-	size    int
-	maxTree int
 
-	// all is the lazy concatenation of every indexed item in (tree,
-	// preorder) order — the candidate list of Wildcard pattern nodes,
-	// built only when a wildcard program actually joins.
+	// all lists every position, built only when a wildcard program
+	// actually joins.
 	allOnce sync.Once
-	all     []item
+	all     []int32
+	// scratch pools the working memory of join runs (see scratch).
+	scratch sync.Pool
 }
 
 // Trees returns the number of trees in the forest.
@@ -73,13 +67,10 @@ func (f *Forest) Trees() int { return len(f.trees) }
 
 // Size returns the total number of indexed nodes (counting a shared
 // node once per window containing it).
-func (f *Forest) Size() int { return f.size }
+func (f *Forest) Size() int { return len(f.nodes) }
 
 // Cardinality returns the number of occurrences of tag in the forest.
 func (f *Forest) Cardinality(tag string) int { return len(f.byTag[tag]) }
-
-// Tree returns the i-th tree.
-func (f *Forest) Tree(i int) Tree { return f.trees[i] }
 
 // Shared reports whether the forest's trees are windows of one shared
 // document (see IndexSubtrees).
@@ -127,71 +118,151 @@ func IndexDocument(ctx context.Context, d *xmltree.Document) (*Forest, error) {
 	return indexTrees(ctx, []Tree{{Doc: d, Root: d.Root}}, true)
 }
 
+// indexTrees sizes every column from the window lengths, fills the
+// columns and a dense tag id per position in one walk, then scatters
+// the positions into per-tag lists carved from one backing array, so
+// the index allocates a constant number of slices rather than growing
+// one list per tag.
 func indexTrees(ctx context.Context, trees []Tree, shared bool) (*Forest, error) {
 	sp := obs.SpanFrom(ctx)
 	start := sp.Start()
 	defer sp.Observe(obs.StagePlanIndex, start)
-	if len(trees) > 1<<31-1 {
-		return nil, fmt.Errorf("plan: forest of %d trees exceeds the tree-id space", len(trees))
+	total := 0
+	for _, t := range trees {
+		total += len(t.Doc.Window(t.Root))
 	}
-	f := &Forest{trees: trees, byTag: make(map[string][]item), shared: shared}
+	if total > math.MaxInt32 {
+		return nil, fmt.Errorf("plan: forest of %d nodes exceeds the position space", total)
+	}
+	f := &Forest{
+		trees:  trees,
+		parent: make([]int32, total),
+		end:    make([]int32, total),
+		tree:   make([]int32, total),
+		nodes:  make([]*xmltree.Node, 0, total),
+		roots:  make([]int32, len(trees)),
+		shared: shared,
+	}
+	ids := make(map[string]int32)
+	var tags []string
+	var counts, rootCounts []int32
+	tagID := make([]int32, total)
 	for ti, t := range trees {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		window := t.Doc.Window(t.Root)
-		for _, n := range window {
-			f.byTag[n.Tag] = append(f.byTag[n.Tag], item{tree: int32(ti), node: n})
+		base := int32(len(f.nodes))
+		f.roots[ti] = base
+		off := t.Root.Index
+		for _, n := range t.Doc.Window(t.Root) {
+			p := int32(len(f.nodes))
+			f.nodes = append(f.nodes, n)
+			f.tree[p] = int32(ti)
+			f.end[p] = base + int32(n.SubtreeEnd()-off)
+			f.parent[p] = -1
+			if p != base {
+				f.parent[p] = base + int32(n.Parent.Index-off)
+			}
+			id, ok := ids[n.Tag]
+			if !ok {
+				id = int32(len(tags))
+				ids[n.Tag] = id
+				tags = append(tags, n.Tag)
+				counts = append(counts, 0)
+				rootCounts = append(rootCounts, 0)
+			}
+			tagID[p] = id
+			counts[id]++
 		}
-		f.roots = append(f.roots, item{tree: int32(ti), node: t.Root})
-		f.size += len(window)
-		if len(window) > f.maxTree {
-			f.maxTree = len(window)
-		}
+		rootCounts[tagID[base]]++
 	}
+	f.byTag = carve(tags, counts, tagID, nil)
+	f.rootsByTag = carve(tags, rootCounts, tagID, f.roots)
 	return f, nil
 }
 
-// rootItems returns the tree roots whose tag matches the compensation
-// root — the pinning candidates of a program. Tree order is preserved,
-// which is (tree, preorder) order since every root is its tree's first
-// node. A Wildcard root matches every tree.
-func (f *Forest) rootItems(tag string) []item {
-	if tag == tpq.Wildcard {
-		return f.roots
+// carve distributes positions into one ascending list per tag, all
+// sliced from a single backing array. It walks sel when non-nil, every
+// position otherwise; counts[id] is the number of walked positions
+// carrying tag id.
+func carve(tags []string, counts, tagID, sel []int32) map[string][]int32 {
+	n := len(tagID)
+	if sel != nil {
+		n = len(sel)
 	}
-	var out []item
-	for _, r := range f.roots {
-		if r.node.Tag == tag {
-			out = append(out, r)
+	backing := make([]int32, n)
+	next := make([]int32, len(tags))
+	lo := int32(0)
+	for id, c := range counts {
+		next[id] = lo
+		lo += c
+	}
+	if sel == nil {
+		for p, id := range tagID {
+			backing[next[id]] = int32(p)
+			next[id]++
 		}
+	} else {
+		for _, p := range sel {
+			id := tagID[p]
+			backing[next[id]] = p
+			next[id]++
+		}
+	}
+	out := make(map[string][]int32, len(tags))
+	for id, tag := range tags {
+		if counts[id] == 0 {
+			continue
+		}
+		hi := next[id]
+		out[tag] = backing[hi-counts[id] : hi : hi]
 	}
 	return out
 }
 
-// itemsFor returns the candidate list of a pattern-node tag: the
-// inverted list, or every indexed item for the Wildcard tag.
-func (f *Forest) itemsFor(tag string) []item {
+// rootList returns the tree-root positions whose tag matches the
+// compensation root — the pinning candidates of a program. A Wildcard
+// root matches every tree.
+func (f *Forest) rootList(tag string) []int32 {
+	if tag == tpq.Wildcard {
+		return f.roots
+	}
+	return f.rootsByTag[tag]
+}
+
+// list returns the candidate positions of a pattern-node tag: its
+// posting list, or every position for the Wildcard tag.
+func (f *Forest) list(tag string) []int32 {
 	if tag != tpq.Wildcard {
 		return f.byTag[tag]
 	}
 	f.allOnce.Do(func() {
-		out := make([]item, 0, f.size)
-		for ti, t := range f.trees {
-			for _, n := range t.Doc.Window(t.Root) {
-				out = append(out, item{tree: int32(ti), node: n})
-			}
+		f.all = make([]int32, len(f.nodes))
+		for p := range f.all {
+			f.all[p] = int32(p)
 		}
-		f.all = out
 	})
 	return f.all
 }
 
-// cardinalityFor is itemsFor's counting companion for the backend
-// heuristic: it avoids building the wildcard list just to size it.
-func (f *Forest) cardinalityFor(tag string) int {
-	if tag == tpq.Wildcard {
-		return f.size
-	}
-	return len(f.byTag[tag])
+// scratch is one program run's working memory, pooled on the forest
+// and never shared between concurrent runs: the child joins' bitset
+// over positions, zero between joins, and the arena the join lists are
+// filtered into.
+type scratch struct {
+	bits  []uint64
+	arena []int32
+	lists [][]int32
+	owned [][]int32
 }
+
+func (f *Forest) getScratch() *scratch {
+	if sc, ok := f.scratch.Get().(*scratch); ok {
+		return sc
+	}
+	return &scratch{bits: make([]uint64, (len(f.nodes)+63)/64)}
+}
+
+// putScratch returns sc to the pool. Only a run that returned normally
+// may: a panic mid-join can leave bits set.
+func (f *Forest) putScratch(sc *scratch) { f.scratch.Put(sc) }

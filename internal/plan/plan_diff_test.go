@@ -8,7 +8,9 @@ package plan_test
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"qav/internal/leaktest"
@@ -213,5 +215,150 @@ func TestPlanExecCancelParallel(t *testing.T) {
 	cancel()
 	if _, err := pl.Exec(cctx, f, plan.ExecOptions{Parallel: 4}); err != context.Canceled {
 		t.Fatalf("parallel exec after cancel: err = %v", err)
+	}
+}
+
+// chainDoc generates a document dominated by one tag, so same-tag
+// chains run deep and a //a//a view materializes nested windows.
+func chainDoc(rng *rand.Rand) *xmltree.Document {
+	return xmltree.Generate(rng, xmltree.GenSpec{
+		Tags: []string{"a", "a", "a", "b", "c"}, MaxDepth: 8, MaxFanout: 2, TargetSize: 40,
+	})
+}
+
+// TestPlanDiffNestedWindows diffs MCR answers through chain views
+// (//a//a, //a//a//a, //a[b]//a): their shared-layout windows nest, so
+// one node holds a position in several windows and the union must
+// order by global preorder and keep each node once.
+func TestPlanDiffNestedWindows(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(1515))
+	views := []*tpq.Pattern{
+		tpq.MustParse("//a//a"), tpq.MustParse("//a//a//a"), tpq.MustParse("//a[b]//a"), tpq.MustParse("//a/a"),
+	}
+	answerable, nested := 0, 0
+	for i := 0; i < 200; i++ {
+		v := views[i%len(views)]
+		q := workload.RandomPattern(rng, []string{"a", "a", "b", "c"}, 6)
+		res, err := rewrite.MCR(q, v, rewrite.Options{MaxEmbeddings: 1 << 12, Context: ctx})
+		if err != nil {
+			t.Fatalf("MCR(%s, %s): %v", q, v, err)
+		}
+		if len(res.CRs) > 0 {
+			answerable++
+		}
+		d := chainDoc(rng)
+		if vn := rewrite.MaterializeView(v, d); len(vn) > 1 && vn[0].IsAncestorOf(vn[1]) {
+			nested++
+		}
+		diffInstance(t, ctx, q.String()+" / "+v.String(), res.CRs, v, d)
+	}
+	if answerable < 40 || nested < 40 {
+		t.Fatalf("%d answerable, %d with nested windows: workload too weak to trust", answerable, nested)
+	}
+}
+
+// TestPlanDiffMultiProgramUnions diffs synthetic CR unions of up to
+// five compensations, wildcards included, over nested windows: the
+// programs' answer lists overlap, so Auto's union must deduplicate
+// across programs as well as across windows.
+func TestPlanDiffMultiProgramUnions(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(99))
+	alphabet := []string{"a", "a", "b", tpq.Wildcard}
+	multi := 0
+	for i := 0; i < 150; i++ {
+		v := tpq.MustParse([]string{"//a", "//a//a", "//b"}[i%3])
+		var crs []*rewrite.ContainedRewriting
+		for k := 0; k < 2+i%4; k++ {
+			crs = append(crs, &rewrite.ContainedRewriting{Compensation: workload.RandomPattern(rng, alphabet, 4)})
+		}
+		pl, err := plan.Compile(ctx, rewrite.Compensations(crs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pl.Programs() > 1 {
+			multi++
+		}
+		diffInstance(t, ctx, "union over "+v.String(), crs, v, chainDoc(rng))
+	}
+	if multi < 100 {
+		t.Fatalf("only %d multi-program plans", multi)
+	}
+}
+
+// TestPlanExecConcurrentForest runs several plans at once, serial and
+// parallel, against one shared forest of each layout. Every run borrows
+// a pooled scratch (the child joins' bitset and the list arena) from
+// the forest; a scratch handed to two runs, or pooled with bits still
+// set, shows up as a wrong answer here and as a data race under -race.
+func TestPlanExecConcurrentForest(t *testing.T) {
+	defer leaktest.Check(t)()
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(5))
+	d, err := workload.ClinicalTrialsDoc(ctx, rng, 30, 8, 0.4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := tpq.MustParse("//Trials")
+	shared, err := plan.IndexSubtrees(ctx, d, rewrite.MaterializeView(v, d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shipped, err := plan.IndexForest(ctx, viewstore.Materialize(v, d).Forest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var plans []*plan.Plan
+	for _, comps := range [][]string{
+		{"/Trials//Trial/Patient"},
+		{"/Trials[//Status]//Trial[Status]/Patient", "/Trials//Trial[Patient]"},
+		{"/Trials/Trial/*", "/Trials//Status", "/*[Trial/Status]"},
+		{"/Trials[Trial/Status][Trial/Patient]"},
+	} {
+		var ps []*tpq.Pattern
+		for _, c := range comps {
+			ps = append(ps, tpq.MustParse(c))
+		}
+		pl, err := plan.Compile(ctx, ps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans = append(plans, pl)
+	}
+	for _, f := range []*plan.Forest{shared, shipped} {
+		want := make([][]*xmltree.Node, len(plans))
+		for i, pl := range plans {
+			res, err := pl.Exec(ctx, f, plan.ExecOptions{Backend: plan.TreeDP})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = res.Nodes()
+		}
+		var wg sync.WaitGroup
+		errs := make(chan string, 8)
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for r := 0; r < 50; r++ {
+					i := (w + r) % len(plans)
+					res, err := plans[i].Exec(ctx, f, plan.ExecOptions{Parallel: 1 + w%3})
+					if err != nil {
+						errs <- err.Error()
+						return
+					}
+					if !sameNodes(res.Nodes(), want[i]) {
+						errs <- fmt.Sprintf("worker %d run %d: plan %d diverges", w, r, i)
+						return
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		close(errs)
+		for e := range errs {
+			t.Fatal(e)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -120,8 +121,13 @@ func TestForestStats(t *testing.T) {
 	if f.Size() != 5 || f.Cardinality("b") != 2 || f.Cardinality("a") != 2 {
 		t.Fatalf("Size=%d card(b)=%d card(a)=%d", f.Size(), f.Cardinality("b"), f.Cardinality("a"))
 	}
-	if f.maxTree != 3 {
-		t.Fatalf("maxTree = %d, want 3", f.maxTree)
+	// Positions run in (tree, preorder) order: a(0) b(1) b(2) | a(3) c(4).
+	if !slices.Equal(f.roots, []int32{0, 3}) || !slices.Equal(f.rootList("a"), []int32{0, 3}) || len(f.rootList("b")) != 0 {
+		t.Fatalf("roots = %v, a-roots = %v, b-roots = %v", f.roots, f.rootList("a"), f.rootList("b"))
+	}
+	if !slices.Equal(f.parent, []int32{-1, 0, 0, -1, 3}) || !slices.Equal(f.end, []int32{2, 1, 2, 4, 4}) ||
+		!slices.Equal(f.tree, []int32{0, 0, 0, 1, 1}) || !slices.Equal(f.list("b"), []int32{1, 2}) {
+		t.Fatalf("parent = %v, end = %v, tree = %v, b = %v", f.parent, f.end, f.tree, f.list("b"))
 	}
 }
 

@@ -1,0 +1,227 @@
+package server
+
+import (
+	"bytes"
+	"context"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+
+	"qav/internal/engine"
+	"qav/internal/plan"
+	"qav/internal/rewrite"
+	"qav/internal/tpq"
+	"qav/internal/viewstore"
+	"qav/internal/workload"
+	"qav/internal/xmltree"
+)
+
+// The reflective /v1/answer encoding is the oracle for appendAnswer:
+// the response structs below are the body's schema, rendered through
+// encodeJSON exactly as every other JSON body is.
+
+type answerJSON struct {
+	Path string `json:"path"`
+	Text string `json:"text,omitempty"`
+}
+
+type planJSON struct {
+	Programs int      `json:"programs"`
+	Backends []string `json:"backends,omitempty"`
+}
+
+type answerResponse struct {
+	Union         string       `json:"union"`
+	ViewNodes     int          `json:"viewNodes,omitempty"`
+	ViewTrees     int          `json:"viewTrees,omitempty"`
+	Answers       []answerJSON `json:"answers"`
+	DirectSize    int          `json:"directAnswerCount,omitempty"`
+	Plan          *planJSON    `json:"plan,omitempty"`
+	Partial       bool         `json:"partial,omitempty"`
+	PartialReason string       `json:"partialReason,omitempty"`
+}
+
+func oracleAnswerBody(t *testing.T, ans *engine.Answer) []byte {
+	t.Helper()
+	resp := answerResponse{
+		Union:         ans.Result.Union.String(),
+		ViewNodes:     len(ans.ViewNodes),
+		ViewTrees:     ans.Trees,
+		DirectSize:    len(ans.Direct),
+		Partial:       ans.Result.Partial,
+		PartialReason: string(ans.Result.PartialReason),
+	}
+	if ans.Plan != nil {
+		resp.Plan = &planJSON{Programs: ans.Plan.Programs()}
+		if ans.Exec != nil {
+			for _, b := range ans.Exec.Backends {
+				resp.Plan.Backends = append(resp.Plan.Backends, b.String())
+			}
+		}
+	}
+	for _, n := range ans.Answers {
+		resp.Answers = append(resp.Answers, answerJSON{Path: n.Path(), Text: n.Text})
+	}
+	body, err := encodeJSON(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// checkAnswerBody compares the one-pass body with the oracle's, both
+// appended to a fresh buffer and to one holding earlier output.
+func checkAnswerBody(t *testing.T, tag string, ans *engine.Answer) {
+	t.Helper()
+	want := oracleAnswerBody(t, ans)
+	if got := appendAnswer(nil, ans); !bytes.Equal(got, want) {
+		t.Fatalf("%s: body differs from the reflective encoding\n got %q\nwant %q", tag, got, want)
+	}
+	prefix := []byte("earlier output")
+	if got := appendAnswer(prefix, ans); !bytes.Equal(got[len(prefix):], want) || string(got[:len(prefix)]) != "earlier output" {
+		t.Fatalf("%s: appending after existing bytes changed the output", tag)
+	}
+}
+
+// partialOf returns a copy of ans whose rewriting reports degradation.
+func partialOf(ans *engine.Answer, reason rewrite.PartialReason) *engine.Answer {
+	res := *ans.Result
+	res.Partial, res.PartialReason = true, reason
+	cp := *ans
+	cp.Result = &res
+	return &cp
+}
+
+func TestAnswerBodyMatchesOracle(t *testing.T) {
+	ctx := context.Background()
+	eng := engine.New(engine.Config{CacheSize: 64})
+	rng := rand.New(rand.NewSource(15))
+	answer := func(text engine.Text) *engine.Answer {
+		t.Helper()
+		parsed, err := eng.Parse(engine.OpAnswer, text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ans, err := eng.Answer(ctx, parsed)
+		if err != nil {
+			t.Fatalf("%+v: %v", text, err)
+		}
+		return ans
+	}
+	queries := []struct{ q, v string }{
+		{"//Trials[//Status]//Trial/Patient", "//Trials//Trial"},
+		{"//Trials//Trial[Status]", "//Trials//Trial"},
+		{"//Trials[//Status]", "//Trials"},
+		{"//Trials//Trial/Patient", "//Trials"},
+		{"//Trials//Nothing", "//Trials"},
+	}
+	for i := 0; i < 4; i++ {
+		d, err := workload.ClinicalTrialsDoc(ctx, rng, 3+i, 4, 0.3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, n := range d.Nodes {
+			if j%3 == 0 {
+				n.Text = "t" + n.Tag
+			}
+		}
+		xml := d.XMLString()
+		name := "v" + string(rune('0'+i))
+		eng.RegisterView(name, viewstore.Materialize(tpq.MustParse("//Trials"), d))
+		for _, qv := range queries {
+			for _, be := range []string{"", "treedp", "stream"} {
+				direct := answer(engine.Text{Query: qv.q, View: qv.v, Document: xml, Backend: be})
+				checkAnswerBody(t, "direct "+qv.q, direct)
+				checkAnswerBody(t, "partial "+qv.q, partialOf(direct, rewrite.PartialDeadline))
+			}
+			if qv.v == "//Trials" {
+				stored := answer(engine.Text{Query: qv.q, ViewName: name})
+				checkAnswerBody(t, "stored "+qv.q, stored)
+				checkAnswerBody(t, "stored partial "+qv.q, partialOf(stored, rewrite.PartialBudget))
+			}
+		}
+	}
+	// The bare minimum: no answers, no plan, no optional field.
+	checkAnswerBody(t, "empty", &engine.Answer{Result: &rewrite.Result{Union: tpq.NewUnion(tpq.MustParse("//a"))}})
+	checkAnswerBody(t, "empty union", &engine.Answer{Result: &rewrite.Result{}, Answers: []*xmltree.Node{}})
+}
+
+// hostile are strings encoding/json must escape or rewrite: HTML
+// characters, quotes and backslashes, control characters, the JSON-
+// valid but JavaScript-hostile line separators, non-ASCII text and
+// invalid UTF-8.
+var hostile = []string{
+	"<script>", "a&b", `say "hi"`, `back\slash`, "tab\there", "nl\nx", "\x00\x01\x1f\x7f",
+	"\u2028", "x\u2029y", "é", "日本語", "\xff\xfe", "bad\xc3", "\xe2\x80", "/", "plain",
+}
+
+func TestAnswerBodyHostileStrings(t *testing.T) {
+	ctx := context.Background()
+	root := xmltree.Build("root")
+	var answers []*xmltree.Node
+	cur := root
+	for i, s := range hostile {
+		n := cur.AddChild(s)
+		n.Text = hostile[(i+3)%len(hostile)]
+		answers = append(answers, n)
+		leaf := n.AddChild("leaf")
+		leaf.Text = s
+		answers = append(answers, leaf)
+		if i%2 == 0 {
+			cur = n
+		}
+	}
+	xmltree.NewDocument(root)
+	var union []*tpq.Pattern
+	for _, s := range hostile {
+		p := tpq.New(tpq.Descendant, s)
+		p.Output = p.Root.AddChild(tpq.Child, "leaf")
+		union = append(union, p)
+	}
+	pl, err := plan.Compile(ctx, []*tpq.Pattern{tpq.MustParse("//a/b"), tpq.MustParse("//c")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range hostile {
+		ans := &engine.Answer{
+			Result:    &rewrite.Result{Union: tpq.NewUnion(union[:i+1]...), Partial: true, PartialReason: rewrite.PartialReason(s)},
+			Answers:   answers[:2*i+2],
+			ViewNodes: answers[:i],
+			Direct:    answers[:i%3],
+			Trees:     i % 2,
+			Plan:      pl,
+			Exec:      &plan.ExecResult{Backends: []plan.Backend{plan.StructJoin, plan.Backend(i)}},
+		}
+		checkAnswerBody(t, "hostile "+s, ans)
+	}
+}
+
+// TestAnswerEndpointBody pins the handler to the encoder: the served
+// bytes are the oracle's bytes for the same engine answer.
+func TestAnswerEndpointBody(t *testing.T) {
+	eng := engine.New(engine.Config{CacheSize: 64})
+	h := NewWith(eng)
+	body := `{"query":"//Trials[//Status]//Trial/Patient","view":"//Trials//Trial","document":"<PharmaLab><Trials><Trial><Patient>J&amp;&lt;o</Patient><Status/></Trial></Trials></PharmaLab>"}`
+	req := httptest.NewRequest("POST", "/v1/answer", strings.NewReader(body))
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK || rec.Header().Get("Content-Type") != "application/json" {
+		t.Fatalf("status %d, content type %q", rec.Code, rec.Header().Get("Content-Type"))
+	}
+	parsed, err := eng.Parse(engine.OpAnswer, engine.Text{
+		Query: "//Trials[//Status]//Trial/Patient", View: "//Trials//Trial",
+		Document: "<PharmaLab><Trials><Trial><Patient>J&amp;&lt;o</Patient><Status/></Trial></Trials></PharmaLab>",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ans, err := eng.Answer(context.Background(), parsed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := oracleAnswerBody(t, ans); !bytes.Equal(rec.Body.Bytes(), want) {
+		t.Fatalf("served body\n%s\nwant\n%s", rec.Body.Bytes(), want)
+	}
+}

@@ -17,8 +17,9 @@
 // /v1/answer runs the compiled answer-plan pipeline (see
 // internal/plan): the MCR's compensations are compiled once per
 // canonical CR union (cached), the view forest is indexed, and the
-// plan executes with a per-program backend (structural join, per-tree
-// DP, or streaming — "auto" picks by forest statistics). In
+// plan executes with the structural joins ("auto"), or with a forced
+// per-tree DP or streaming backend. The answer body is written in one
+// pass from the matched nodes (see appendAnswer). In
 // stored-view mode the document never travels: the query is answered
 // from the forest a source shipped to POST /v1/views.
 //
@@ -53,7 +54,6 @@ import (
 	"qav/internal/limits"
 	"qav/internal/names"
 	"qav/internal/obs"
-	"qav/internal/plan"
 	"qav/internal/rewrite"
 	"qav/internal/viewstore"
 )
@@ -402,46 +402,8 @@ type answerRequest struct {
 	// Document and Schema must be absent.
 	ViewName string `json:"viewName,omitempty"`
 	// Backend forces the plan execution backend ("structjoin", "treedp",
-	// "stream"); empty or "auto" selects per program.
+	// "stream"); empty or "auto" runs the structural joins.
 	Backend string `json:"backend,omitempty"`
-}
-
-type answerJSON struct {
-	Path string `json:"path"`
-	Text string `json:"text,omitempty"`
-}
-
-// planJSON summarizes the compiled answer plan a request executed: how
-// many compensation programs it unions and which backend ran each.
-type planJSON struct {
-	Programs int      `json:"programs"`
-	Backends []string `json:"backends,omitempty"`
-}
-
-type answerResponse struct {
-	Union      string       `json:"union"`
-	ViewNodes  int          `json:"viewNodes,omitempty"`
-	ViewTrees  int          `json:"viewTrees,omitempty"`
-	Answers    []answerJSON `json:"answers"`
-	DirectSize int          `json:"directAnswerCount,omitempty"`
-	Plan       *planJSON    `json:"plan,omitempty"`
-	// Partial mirrors rewriteResponse: the answers were produced by a
-	// sound but possibly non-maximal rewriting.
-	Partial       bool   `json:"partial,omitempty"`
-	PartialReason string `json:"partialReason,omitempty"`
-}
-
-func buildPlanJSON(pl *plan.Plan, exec *plan.ExecResult) *planJSON {
-	if pl == nil {
-		return nil
-	}
-	pj := &planJSON{Programs: pl.Programs()}
-	if exec != nil {
-		for _, b := range exec.Backends {
-			pj.Backends = append(pj.Backends, b.String())
-		}
-	}
-	return pj
 }
 
 func (s *Service) handleAnswer(w http.ResponseWriter, r *http.Request) {
@@ -468,21 +430,7 @@ func (s *Service) handleAnswer(w http.ResponseWriter, r *http.Request) {
 		httpError(w, statusFor(err), err)
 		return
 	}
-	// Direct answers report ViewNodes and DirectSize, stored-view
-	// answers ViewTrees; the other mode's fields are zero and omitted.
-	resp := answerResponse{
-		Union:         ans.Result.Union.String(),
-		ViewNodes:     len(ans.ViewNodes),
-		ViewTrees:     ans.Trees,
-		DirectSize:    len(ans.Direct),
-		Partial:       ans.Result.Partial,
-		PartialReason: string(ans.Result.PartialReason),
-		Plan:          buildPlanJSON(ans.Plan, ans.Exec),
-	}
-	for _, n := range ans.Answers {
-		resp.Answers = append(resp.Answers, answerJSON{Path: n.Path(), Text: n.Text})
-	}
-	writeJSON(w, resp)
+	writeAnswer(w, ans)
 }
 
 type registerViewRequest struct {
