@@ -104,6 +104,7 @@ type Config struct {
 	// (default 2s, jittered).
 	BreakerCooldown time.Duration
 	// MaxBodyBytes bounds buffered request bodies (default 16 MiB).
+	// Responses are streamed, so no bound applies to them.
 	MaxBodyBytes int64
 	// Transport performs the attempts (default http.DefaultTransport).
 	// Tests and qavbench install a HandlerTransport here.
@@ -451,26 +452,41 @@ func isConnectErr(err error) bool {
 		strings.Contains(s, "dial tcp")
 }
 
-// attemptResult is one attempt's outcome: a fully buffered response
-// (so retry-after-5xx never replays a byte already streamed to the
-// client) or an error.
+// attemptResult is one attempt's outcome: the replica's status line,
+// headers and still-unread body, or an error. Retries and hedges are
+// decided on the status alone, so only the winning attempt's body is
+// ever read, once, straight into the client's response. Whoever holds
+// a result streams it or closes it; close also ends the attempt's
+// context.
 type attemptResult struct {
 	rep     *replica
 	status  int
 	header  http.Header
-	body    []byte
+	body    io.ReadCloser
+	cancel  context.CancelFunc
 	err     error
 	elapsed time.Duration
 }
 
+// close releases a result that will not be (or has been) streamed.
+func (res *attemptResult) close() {
+	if res.body != nil {
+		res.body.Close()
+	}
+	if res.cancel != nil {
+		res.cancel()
+	}
+}
+
 // handleProxy is the catch-all: buffer the body, rank the replicas,
 // then walk retry rounds × candidates with hedging until an attempt
-// succeeds.
+// succeeds, and stream that attempt's response to the client.
 func (r *Router) handleProxy(w http.ResponseWriter, req *http.Request) {
 	if r.draining.Load() {
 		httpError(w, http.StatusServiceUnavailable, errors.New("router: draining"))
 		return
 	}
+	// The request body stays buffered: retries and hedges replay it.
 	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, r.cfg.MaxBodyBytes))
 	if err != nil {
 		var tooBig *http.MaxBytesError
@@ -492,14 +508,15 @@ func (r *Router) handleProxy(w http.ResponseWriter, req *http.Request) {
 	}
 
 	res, retryAfter := r.route(req, body, order)
-	if res != nil && res.err != nil {
-		// A non-retryable transport failure on a non-idempotent
-		// request: the replica may or may not have applied it, so
-		// surface the ambiguity instead of retrying.
-		httpError(w, http.StatusBadGateway, res.err)
-		return
-	}
 	if res != nil {
+		defer res.close()
+		if res.err != nil {
+			// A non-retryable transport failure on a non-idempotent
+			// request: the replica may or may not have applied it, so
+			// surface the ambiguity instead of retrying.
+			httpError(w, http.StatusBadGateway, res.err)
+			return
+		}
 		// Propagate the replica's response verbatim, plus attribution.
 		h := w.Header()
 		for k, vs := range res.header {
@@ -507,7 +524,7 @@ func (r *Router) handleProxy(w http.ResponseWriter, req *http.Request) {
 		}
 		h.Set("X-QAV-Replica", res.rep.name)
 		w.WriteHeader(res.status)
-		w.Write(res.body)
+		stream(req.Context(), w, res)
 		return
 	}
 	if retryAfter > 0 {
@@ -525,10 +542,46 @@ func (r *Router) handleProxy(w http.ResponseWriter, req *http.Request) {
 	httpError(w, http.StatusBadGateway, errors.New("router: no replica could serve the request"))
 }
 
+// stream copies the winning attempt's body to the client, whose status
+// is already committed. A replica body that fails mid-copy can no
+// longer be retried: it charges the replica's breaker and aborts the
+// response, so the client sees a broken response rather than a short
+// 200. A failed write, or a read cut short because the client went
+// away, is the client's doing and charges no replica.
+func stream(ctx context.Context, w http.ResponseWriter, res *attemptResult) {
+	cw := &clientWriter{w: w}
+	if _, err := io.Copy(cw, res.body); err != nil {
+		if cw.err == nil && ctx.Err() == nil {
+			res.rep.consecErrs.Add(1)
+			res.rep.br.Failure(time.Now())
+		}
+		panic(http.ErrAbortHandler)
+	}
+}
+
+// clientWriter records a failed write to the client, so stream can
+// tell it from a failed read of the replica's body. It wraps only the
+// writer: wrapping the body instead would hide an in-memory body's
+// WriteTo from io.Copy, which then allocates a 32 KB buffer per
+// response.
+type clientWriter struct {
+	w   io.Writer
+	err error
+}
+
+func (c *clientWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	if err != nil {
+		c.err = err
+	}
+	return n, err
+}
+
 // route walks retry rounds over the policy's candidate order. It
 // returns a successful (or client-errored) result, or (nil, minWait)
 // when every live replica was saturated, or (nil, 0) when everything
-// failed.
+// failed. Every result it passes over is closed here; the one it
+// returns is the caller's to stream and close.
 func (r *Router) route(req *http.Request, body []byte, order []int) (*attemptResult, time.Duration) {
 	canHedge := r.cfg.HedgeAfter > 0 && idempotent(req)
 	idem := idempotent(req)
@@ -577,18 +630,16 @@ func (r *Router) route(req *http.Request, body []byte, order []int) (*attemptRes
 				if !idem && !isConnectErr(res.err) {
 					return res, 0
 				}
-				continue
 			case res.status == http.StatusTooManyRequests:
 				sawSaturated = true
-				continue
 			case res.status >= 500:
 				if !idem {
 					return res, 0
 				}
-				continue
 			default:
 				return res, 0
 			}
+			res.close()
 		}
 		if round >= r.cfg.Retries {
 			break
@@ -637,9 +688,12 @@ func (r *Router) minSaturationWait() time.Duration {
 
 // race runs one attempt on rep, optionally hedged on hedgeRep: if rep
 // has not answered after the hedge delay, a second attempt launches
-// and the first success wins; the loser's context is cancelled. The
-// result channel is buffered for both attempts so a loser's send never
-// blocks a goroutine (leaktest pins that).
+// and the first success wins. The winner comes back with its context
+// live, for the caller to stream and close; a loser's context is
+// cancelled the moment the winner is chosen, which is all net/http
+// needs to release the loser's unread body. The result channel is
+// buffered for both attempts so a loser's send never blocks a
+// goroutine (leaktest pins that).
 func (r *Router) race(req *http.Request, body []byte, rep, hedgeRep *replica) *attemptResult {
 	results := make(chan *attemptResult, 2)
 	launch := func(target *replica) context.CancelFunc {
@@ -648,14 +702,15 @@ func (r *Router) race(req *http.Request, body []byte, rep, hedgeRep *replica) *a
 		go func() {
 			defer r.wg.Done()
 			defer guard.Rescue("router.attempt", func(err error) {
-				results <- &attemptResult{rep: target, err: err}
+				results <- &attemptResult{rep: target, err: err, cancel: cancel}
 			})
-			results <- r.attempt(actx, target, req, body)
+			res := r.attempt(actx, target, req, body)
+			res.cancel = cancel
+			results <- res
 		}()
 		return cancel
 	}
 	cancel1 := launch(rep)
-	defer cancel1()
 	// A lone attempt keeps its goroutine: inline, it raised peak RSS (DESIGN.md).
 	if hedgeRep == nil {
 		return <-results
@@ -671,21 +726,27 @@ func (r *Router) race(req *http.Request, body []byte, rep, hedgeRep *replica) *a
 	}
 	// Primary is slow: hedge on the partner, unless the chaos plan
 	// says the hedger itself is broken (then just keep waiting).
-	if err := faultHedge.Hit(req.Context()); err == nil {
-		r.reg.ObserveStage(obs.StageRouterHedge, delay)
-		cancel2 := launch(hedgeRep)
-		defer cancel2()
-		first := <-results
-		if attemptOK(first) {
-			return first
-		}
-		second := <-results
-		if attemptOK(second) {
-			return second
+	if err := faultHedge.Hit(req.Context()); err != nil {
+		return <-results
+	}
+	r.reg.ObserveStage(obs.StageRouterHedge, delay)
+	cancel2 := launch(hedgeRep)
+	first := <-results
+	if attemptOK(first) {
+		if first.rep == rep {
+			cancel2()
+		} else {
+			cancel1()
 		}
 		return first
 	}
-	return <-results
+	second := <-results
+	if attemptOK(second) {
+		first.close()
+		return second
+	}
+	second.close()
+	return first
 }
 
 // attemptOK reports whether res should win a hedge race: a response
@@ -694,9 +755,10 @@ func attemptOK(res *attemptResult) bool {
 	return res.err == nil && res.status < 500 && res.status != http.StatusTooManyRequests
 }
 
-// attempt performs one proxied request against rep and fully buffers
-// the response. Outcomes feed the breaker and the passive health
-// signals; 429s only mark saturation.
+// attempt performs one proxied request against rep and returns once
+// the replica's status line and headers are in, leaving the body
+// unread. Outcomes feed the breaker and the passive health signals;
+// 429s only mark saturation.
 func (r *Router) attempt(ctx context.Context, rep *replica, orig *http.Request, body []byte) *attemptResult {
 	start := time.Now()
 	rep.inflight.Add(1)
@@ -722,20 +784,12 @@ func (r *Router) attempt(ctx context.Context, rep *replica, orig *http.Request, 
 		rep.ep.Observe(0, elapsed)
 		return &attemptResult{rep: rep, err: err, elapsed: elapsed}
 	}
-	respBody, err := io.ReadAll(io.LimitReader(resp.Body, r.cfg.MaxBodyBytes))
-	resp.Body.Close()
-	if err != nil {
-		rep.consecErrs.Add(1)
-		rep.br.Failure(time.Now())
-		rep.ep.Observe(0, elapsed)
-		return &attemptResult{rep: rep, err: err, elapsed: elapsed}
-	}
 	rep.ep.Observe(resp.StatusCode, elapsed)
 	res := &attemptResult{
 		rep:     rep,
 		status:  resp.StatusCode,
 		header:  resp.Header,
-		body:    respBody,
+		body:    resp.Body,
 		elapsed: elapsed,
 	}
 	switch {

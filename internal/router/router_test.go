@@ -1,8 +1,11 @@
 package router
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -25,6 +28,11 @@ type fakeReplica struct {
 	status   int    // response status for /v1/rewrite (default 200)
 	retryAft string // Retry-After header when status is 429
 	draining bool
+	body     string // 200 body in place of the name echo, when set
+	// hold keeps the handler until it passes or the request's context
+	// ends; the context's error at that point goes to held.
+	hold time.Duration
+	held chan error
 }
 
 func (f *fakeReplica) set(fn func(*fakeReplica)) {
@@ -50,8 +58,20 @@ func newFakeReplica(name string) *fakeReplica {
 	})
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		f.mu.Lock()
-		status, retryAft := f.status, f.retryAft
+		status, retryAft, body, hold, held := f.status, f.retryAft, f.body, f.hold, f.held
 		f.mu.Unlock()
+		if hold > 0 {
+			timer := time.NewTimer(hold)
+			select {
+			case <-r.Context().Done():
+			case <-timer.C:
+			}
+			timer.Stop()
+			select {
+			case held <- r.Context().Err():
+			default:
+			}
+		}
 		if status != http.StatusOK {
 			if retryAft != "" {
 				w.Header().Set("Retry-After", retryAft)
@@ -61,6 +81,10 @@ func newFakeReplica(name string) *fakeReplica {
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
+		if body != "" {
+			io.WriteString(w, body)
+			return
+		}
 		fmt.Fprintf(w, `{"replica":%q}`, f.name)
 	})
 	f.mux = mux
@@ -179,6 +203,19 @@ func TestBreakerOpensAndRecloses(t *testing.T) {
 	})
 }
 
+// waitHealthy waits until every replica of r has passed a health probe.
+func waitHealthy(t *testing.T, r *Router) {
+	t.Helper()
+	waitFor(t, time.Second, func() bool {
+		for _, rs := range r.Status().Replicas {
+			if !rs.Healthy {
+				return false
+			}
+		}
+		return true
+	})
+}
+
 func replicaState(r *Router, name string) string {
 	for _, rs := range r.Status().Replicas {
 		if rs.Name == name {
@@ -268,7 +305,7 @@ func TestDrainingReplicaStopsReceiving(t *testing.T) {
 
 func TestHedgeWinsOverSlowPrimary(t *testing.T) {
 	defer leaktest.Check(t)()
-	r, ht, _, closeAll := testCluster(t, 3, func(c *Config) {
+	r, _, reps, closeAll := testCluster(t, 3, func(c *Config) {
 		c.HedgeAfter = 5 * time.Millisecond
 	})
 	defer closeAll()
@@ -278,10 +315,14 @@ func TestHedgeWinsOverSlowPrimary(t *testing.T) {
 		t.Fatal(rec.Code)
 	}
 	owner := rec.Header().Get("X-QAV-Replica")
+	var idx int
+	fmt.Sscanf(owner, "replica-%d", &idx)
 
-	// Slow the owner far past the hedge delay but inside the attempt
-	// timeout: the hedge on the next-ranked replica must win.
-	ht.SetDelay(owner, 150*time.Millisecond)
+	// Hold the owner's handler far past the hedge delay but inside the
+	// attempt timeout: the hedge on the next-ranked replica must win.
+	const hold = 150 * time.Millisecond
+	held := make(chan error, 1)
+	reps[idx].set(func(f *fakeReplica) { f.hold, f.held = hold, held })
 	start := time.Now()
 	rec = doRewrite(t, r, rewriteBody)
 	elapsed := time.Since(start)
@@ -291,11 +332,152 @@ func TestHedgeWinsOverSlowPrimary(t *testing.T) {
 	if got := rec.Header().Get("X-QAV-Replica"); got == owner {
 		t.Fatalf("slow owner %s still won", owner)
 	}
-	if elapsed >= 150*time.Millisecond {
+	if elapsed >= hold {
 		t.Fatalf("hedge did not cut the tail: %v", elapsed)
 	}
+	// The owner's handler must see its context cancelled when the hedge
+	// wins: not run out its hold (a nil error) and not last until the
+	// attempt timeout (DeadlineExceeded).
+	select {
+	case err := <-held:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("losing primary's context ended with %v, want context.Canceled", err)
+		}
+		if waited := time.Since(start); waited >= hold {
+			t.Fatalf("losing primary released after %v, not when the hedge won", waited)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("losing primary never released")
+	}
 	// Leaktest (deferred) pins that the losing attempt's goroutine is
-	// cancelled and gone after Close.
+	// gone after Close.
+}
+
+// failingBody is a replica body that fails after n bytes, as a
+// connection reset partway through a response would.
+type failingBody struct{ n int }
+
+func (b *failingBody) Read(p []byte) (int, error) {
+	if b.n == 0 {
+		return 0, errors.New("connection reset mid-body")
+	}
+	k := min(len(p), b.n)
+	for i := range p[:k] {
+		p[i] = 'x'
+	}
+	b.n -= k
+	return k, nil
+}
+
+func (b *failingBody) Close() error { return nil }
+
+// midStreamTransport answers health probes through the fake replicas
+// and every proxied request with a 200 whose body fails after n bytes.
+type midStreamTransport struct {
+	probes http.RoundTripper
+	n      int
+}
+
+func (t midStreamTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.URL.Path == "/healthz" {
+		return t.probes.RoundTrip(req)
+	}
+	return &http.Response{
+		StatusCode: http.StatusOK,
+		Header:     http.Header{"Content-Type": {"application/json"}},
+		Body:       &failingBody{n: t.n},
+		Request:    req,
+	}, nil
+}
+
+// TestMidStreamFailureAborts pins the cost of streaming: a replica body
+// that fails after the status is committed is not retried, charges the
+// replica's breaker, and reaches the client as a broken response, never
+// as a clean 200.
+func TestMidStreamFailureAborts(t *testing.T) {
+	defer leaktest.Check(t)()
+	r, _, _, closeAll := testCluster(t, 3, func(c *Config) {
+		c.Transport = midStreamTransport{probes: c.Transport, n: 64 << 10}
+		c.ProbeInterval = time.Hour // no probe success after the failure
+	})
+	defer closeAll()
+	waitHealthy(t, r)
+
+	srv := httptest.NewServer(r.Handler())
+	defer srv.Close()
+	client := &http.Client{Transport: &http.Transport{}}
+	defer client.CloseIdleConnections()
+	resp, err := client.Post(srv.URL+"/v1/rewrite", "application/json", strings.NewReader(rewriteBody))
+	if err == nil {
+		_, err = io.ReadAll(resp.Body)
+		resp.Body.Close()
+	}
+	if err == nil {
+		t.Fatal("client read a clean response from a body that failed mid-stream")
+	}
+
+	if got := totalAttempts(r); got != 1 {
+		t.Fatalf("mid-stream failure made %d attempts, want 1 (no retry)", got)
+	}
+	for _, rep := range r.reps {
+		if rep.attempts.Load() == 0 {
+			continue
+		}
+		if _, fails, _ := rep.br.Snapshot(); fails != 1 || rep.consecErrs.Load() != 1 {
+			t.Fatalf("replica %s: breaker fails %d, consecErrs %d; want 1 and 1",
+				rep.name, fails, rep.consecErrs.Load())
+		}
+	}
+}
+
+// TestClientGoneChargesNoReplica: a body read that fails because the
+// client cancelled its request aborts the response but leaves the
+// replica's breaker alone.
+func TestClientGoneChargesNoReplica(t *testing.T) {
+	defer leaktest.Check(t)()
+	r, _, _, closeAll := testCluster(t, 3, func(c *Config) {
+		c.Transport = midStreamTransport{probes: c.Transport, n: 1 << 10}
+		c.ProbeInterval = time.Hour
+	})
+	defer closeAll()
+	waitHealthy(t, r)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req := httptest.NewRequest("POST", "/v1/rewrite", strings.NewReader(rewriteBody)).WithContext(ctx)
+	func() {
+		defer func() {
+			if v := recover(); v != http.ErrAbortHandler {
+				t.Fatalf("recovered %v, want http.ErrAbortHandler", v)
+			}
+		}()
+		r.Handler().ServeHTTP(httptest.NewRecorder(), req)
+	}()
+	for _, rs := range r.Status().Replicas {
+		if rs.ConsecErrs != 0 {
+			t.Fatalf("replica %s charged %d errors for a client that went away", rs.Name, rs.ConsecErrs)
+		}
+	}
+}
+
+// TestOversizedResponseIntact: MaxBodyBytes bounds the buffered request
+// only. A response larger than it reaches the client whole.
+func TestOversizedResponseIntact(t *testing.T) {
+	defer leaktest.Check(t)()
+	r, _, reps, closeAll := testCluster(t, 2, func(c *Config) { c.MaxBodyBytes = 64 })
+	defer closeAll()
+	big := `{"pad":"` + strings.Repeat("0123456789abcdef", 256) + `"}`
+	for _, f := range reps {
+		f.set(func(f *fakeReplica) { f.body = big })
+	}
+
+	rec := doRewrite(t, r, rewriteBody)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+	}
+	if got := rec.Body.String(); got != big {
+		t.Fatalf("client got %d bytes, want the replica's %d intact", len(got), len(big))
+	}
 }
 
 func TestRouterDrainingReturns503(t *testing.T) {
@@ -357,14 +539,7 @@ func TestClusterStatusDocument(t *testing.T) {
 	r, _, _, closeAll := testCluster(t, 3, nil)
 	defer closeAll()
 
-	waitFor(t, time.Second, func() bool {
-		for _, rs := range r.Status().Replicas {
-			if !rs.Healthy {
-				return false
-			}
-		}
-		return true
-	})
+	waitHealthy(t, r)
 	req := httptest.NewRequest("GET", "/v1/cluster", nil)
 	rec := httptest.NewRecorder()
 	r.Handler().ServeHTTP(rec, req)

@@ -6,13 +6,17 @@ package qav_test
 // guards its allocation count, so a hop that starts redoing per-request
 // work its memo already holds shows up in tier-1. The stored-view
 // answer of the answer_stored workload gets the same pair:
-// BenchmarkStoredAnswer and TestStoredAnswerAllocs.
+// BenchmarkStoredAnswer and TestStoredAnswerAllocs, and
+// TestRoutedAnswerBytes guards what the router adds to that answer.
 
 import (
 	"context"
+	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -45,14 +49,7 @@ var servedBodies = []string{
 func bootServed(tb testing.TB) (http.Handler, func()) {
 	tb.Helper()
 	r, _, stop := bootCluster(tb, 3, func(c *router.Config) { c.ProbeInterval = time.Hour })
-	clusterWait(tb, "first probes", func() bool {
-		for _, rs := range r.Status().Replicas {
-			if !rs.Healthy {
-				return false
-			}
-		}
-		return true
-	})
+	waitFirstProbes(tb, r)
 	h := r.Handler()
 	for _, body := range servedBodies {
 		if code := serveOnce(h, body); code != http.StatusOK {
@@ -61,6 +58,20 @@ func bootServed(tb testing.TB) (http.Handler, func()) {
 		}
 	}
 	return h, stop
+}
+
+// waitFirstProbes waits until every replica of r has passed a health
+// probe.
+func waitFirstProbes(tb testing.TB, r *router.Router) {
+	tb.Helper()
+	clusterWait(tb, "first probes", func() bool {
+		for _, rs := range r.Status().Replicas {
+			if !rs.Healthy {
+				return false
+			}
+		}
+		return true
+	})
 }
 
 // serveOnce sends one rewrite request through h and returns its status.
@@ -91,7 +102,8 @@ func BenchmarkServedHit(b *testing.B) {
 
 // servedHitMaxAllocs bounds the allocations of one served hit. The
 // router's canonical-form memo, the patterns' cached printed forms and
-// the replica's encoded-body memo brought it from 150 to 83.
+// the replica's encoded-body memo brought it from 150 to 83, and
+// streaming the replica's response through the router to 82.
 const servedHitMaxAllocs = 100
 
 func TestServedHitAllocs(t *testing.T) {
@@ -193,4 +205,85 @@ func TestStoredAnswerAllocs(t *testing.T) {
 		t.Fatalf("one stored answer allocates %.0f times, bound %d", allocs, storedAnswerMaxAllocs)
 	}
 	t.Logf("one stored answer: %.0f allocs", allocs)
+}
+
+// routedAnswerMaxBytes bounds the bytes the router allocates to serve
+// one stored answer on top of the replica. Buffering the body would
+// cost at least the body (32 KB or more here), and an io.Copy that
+// cannot reach the body's WriteTo a 32 KB copy buffer, so either
+// breaks the bound; what the router does own (the buffered request,
+// the attempt's request and context) is a few KB whatever the answer.
+const routedAnswerMaxBytes = 16 << 10
+
+// TestRoutedAnswerBytes serves one stored-view answer of 32 KB or more
+// through the three-replica router, with the views on every replica,
+// and compares the bytes allocated per request with the same request
+// sent to the serving replica over the same in-process fabric. The
+// fabric holds each response in memory in place of a socket, on both
+// sides, so the difference is the router's hop alone.
+func TestRoutedAnswerBytes(t *testing.T) {
+	ht := router.NewHandlerTransport()
+	var urls []string
+	for i := 0; i < 3; i++ {
+		host := fmt.Sprintf("replica-%d", i)
+		ht.Register(host, bootStored(t, 100))
+		urls = append(urls, "http://"+host)
+	}
+	r, err := router.New(router.Config{Replicas: urls, ProbeInterval: time.Hour, Transport: ht})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	waitFirstProbes(t, r)
+
+	body := storedTemplates[0]
+	routed := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		r.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/answer", strings.NewReader(body)))
+		return rec
+	}
+	first := routed()
+	if first.Code != http.StatusOK {
+		t.Fatalf("routed answer: status %d: %s", first.Code, first.Body.String())
+	}
+	size := first.Body.Len()
+	if size < 32<<10 {
+		t.Fatalf("answer body is %d bytes, want at least 32 KB", size)
+	}
+	owner := first.Header().Get("X-QAV-Replica")
+	direct := func() *httptest.ResponseRecorder {
+		resp, err := ht.RoundTrip(httptest.NewRequest("POST", "http://"+owner+"/v1/answer", strings.NewReader(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		rec.WriteHeader(resp.StatusCode)
+		io.Copy(rec, resp.Body)
+		resp.Body.Close()
+		return rec
+	}
+	if rec := direct(); rec.Code != http.StatusOK || rec.Body.String() != first.Body.String() {
+		t.Fatalf("direct answer differs from the routed one: status %d, %d bytes", rec.Code, rec.Body.Len())
+	}
+
+	const n = 200
+	perRequest := func(serve func() *httptest.ResponseRecorder) int64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			if rec := serve(); rec.Code != http.StatusOK {
+				t.Fatalf("status %d", rec.Code)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return int64(after.TotalAlloc-before.TotalAlloc) / n
+	}
+	viaRouter, viaReplica := perRequest(routed), perRequest(direct)
+	added := viaRouter - viaReplica
+	if added >= routedAnswerMaxBytes || added >= int64(size) {
+		t.Fatalf("the router adds %d bytes to a %d-byte answer (%d routed, %d direct), bound %d",
+			added, size, viaRouter, viaReplica, routedAnswerMaxBytes)
+	}
+	t.Logf("a %d-byte answer: %d bytes routed, %d direct, %d added by the router", size, viaRouter, viaReplica, added)
 }
