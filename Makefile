@@ -64,6 +64,7 @@ fuzz:
 	$(GO) test ./internal/schema -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/xmltree -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/rewrite -run '^$$' -fuzz '^FuzzRewriteRoundTrip$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/rewrite -run '^$$' -fuzz '^FuzzMCRMatchesReference$$' -fuzztime $(FUZZTIME)
 
 clean:
 	rm -rf bin

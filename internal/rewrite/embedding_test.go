@@ -200,11 +200,16 @@ func TestLabelingEnumerateLimit(t *testing.T) {
 	q := tpq.MustParse("//a[//b][//b]//b")
 	v := tpq.MustParse("//a[//b][//b]//b")
 	l := ComputeLabels(q, v, nil)
-	if _, err := l.Enumerate(context.Background(), 1); err == nil {
+	var embs []*Embedding
+	collect := func(f *Embedding) error {
+		embs = append(embs, f)
+		return nil
+	}
+	if err := l.Stream(context.Background(), 1, collect); err == nil {
 		t.Error("limit 1 not enforced")
 	}
-	embs, err := l.Enumerate(context.Background(), 1<<16)
-	if err != nil {
+	embs = nil
+	if err := l.Stream(context.Background(), 1<<16, collect); err != nil {
 		t.Fatal(err)
 	}
 	// All embeddings are valid and pairwise distinct.

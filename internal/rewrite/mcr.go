@@ -74,7 +74,11 @@ type Result struct {
 	// inducing embeddings, aligned with Union.Patterns.
 	CRs []*ContainedRewriting
 	// EmbeddingsConsidered is the number of distinct useful embeddings
-	// enumerated before redundancy elimination.
+	// enumerated before redundancy elimination: every one counts,
+	// including those sharing a domain (the set of query nodes mapped)
+	// with an earlier one, whose identical CR is built only once. On a
+	// Partial result it counts the embeddings enumerated before the
+	// wall.
 	EmbeddingsConsidered int
 	// Partial reports that generation stopped early — the embedding
 	// budget was exhausted or the context deadline expired mid-stream —
@@ -119,11 +123,13 @@ func partialReason(err error) PartialReason {
 // when q is not answerable using v. Every returned CR is verified
 // contained in q by homomorphism.
 //
-// Internally the Enumerate → BuildCR → verify chain runs as a streaming
+// Internally the enumerate → build → verify chain runs as a streaming
 // pipeline (generateCRs): embeddings are consumed as the enumeration
-// produces them, so the embedding set is never fully materialized and,
-// on large enumerations, CR construction overlaps enumeration across a
-// bounded worker pool. Results are identical to the serial order.
+// produces them, so the embedding set is never fully materialized; one
+// CR is built per embedding domain, since embeddings mapping the same
+// query nodes induce the same CR; and, on large enumerations, CR
+// construction overlaps enumeration across a bounded worker pool.
+// Results are identical to the serial order.
 func MCR(q, v *tpq.Pattern, opts Options) (*Result, error) {
 	if q.HasWildcard() || v.HasWildcard() {
 		return nil, fmt.Errorf("rewrite: wildcard patterns are outside XP{/,//,[]}; the MCR algorithms do not support them")
@@ -164,9 +170,9 @@ func MCR(q, v *tpq.Pattern, opts Options) (*Result, error) {
 }
 
 // crPipelineBatch is the streaming pipeline's serial threshold: an
-// enumeration that finishes within this many embeddings is processed
-// inline (no goroutines, no channels); anything larger spills into the
-// bounded worker pool.
+// enumeration that finishes within this many embedding domains is
+// processed inline (no goroutines, no channels); anything larger spills
+// into the bounded worker pool.
 const crPipelineBatch = 16
 
 // seqEmb tags an embedding with its enumeration sequence number so the
@@ -182,12 +188,16 @@ type seqCR struct {
 }
 
 // generateCRs fuses embedding enumeration with CR construction and
-// containment verification. The first crPipelineBatch embeddings are
-// buffered: a short stream is then handled serially, while a longer one
-// starts GOMAXPROCS workers that build and verify CRs concurrently with
-// the ongoing enumeration, over a bounded channel. Output order (and
-// thus every downstream result, including which embedding represents a
-// structurally duplicated CR) matches the serial enumeration order.
+// containment verification, one CR per embedding domain (crGen):
+// every embedding is validated and counted as the enumeration emits it,
+// and only the first of each domain goes on to be built. The first
+// crPipelineBatch of those are buffered: a short stream is then handled
+// serially, while a longer one starts GOMAXPROCS workers that build and
+// verify CRs concurrently with the ongoing enumeration, over a bounded
+// channel. Output order (and thus every downstream result, including
+// which embedding represents a structurally duplicated CR) matches the
+// serial enumeration order. The CRs carry no compensation yet; the
+// assemblies extract it for the CRs they keep.
 //
 // Partial contract: when the returned error is an embedding-budget
 // overrun or context.DeadlineExceeded, the returned CRs are the sound
@@ -199,41 +209,18 @@ func generateCRs(ctx context.Context, labels *Labeling, q, v *tpq.Pattern, limit
 	// clock reads. Span credits are atomic, so the parallel workers
 	// below record into it directly.
 	sp := obs.SpanFrom(ctx)
-	// buildVerify is panic-isolated: a pattern tripping an invariant in
-	// CR construction must fail that request, not the process (the
-	// named-return defer converts the panic into a typed ErrInternal
-	// with its stack, which the engine routes into the slow log).
-	buildVerify := func(f *Embedding) (cr *ContainedRewriting, err error) {
-		defer guard.Recover(&err, "rewrite.buildVerify")
-		if err := faultBuildCR.Hit(ctx); err != nil {
-			return nil, err
-		}
-		t := sp.Start()
-		cr, err = BuildCR(f, v)
-		sp.Observe(obs.StageBuildCR, t)
-		if err != nil {
-			return nil, fmt.Errorf("rewrite: embedding %s: %w", f, err)
-		}
-		t = sp.Start()
-		contained := cr.VerifyContained(q)
-		sp.Observe(obs.StageContain, t)
-		if !contained {
-			// Useful embeddings induce contained rewritings by
-			// construction; reaching this indicates a bug upstream.
-			return nil, fmt.Errorf("rewrite: internal error: CR %s not contained in %s (embedding %s)", cr.Rewriting, q, f)
-		}
-		return cr, nil
-	}
+	g := newCRGen(ctx, q, v, nil)
 
 	pctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
-		head []*Embedding // buffered prefix; stays serial if the stream ends early
-		in   chan seqEmb
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		out  []seqCR
-		werr error
+		head       []*Embedding // buffered prefix; stays serial if the stream ends early
+		in         chan seqEmb
+		wg         sync.WaitGroup
+		mu         sync.Mutex
+		out        []seqCR
+		werr       error
+		considered int // embeddings emitted, repeated domains included
 	)
 	fail := func(err error) {
 		mu.Lock()
@@ -245,10 +232,10 @@ func generateCRs(ctx context.Context, labels *Labeling, q, v *tpq.Pattern, limit
 	}
 	worker := func() {
 		defer wg.Done()
-		// Last-resort isolation: buildVerify recovers its own panics,
-		// so this fires only for bugs in the worker loop itself; the
-		// flight fails and the pipeline unblocks via the cancel in
-		// fail, rather than the process dying.
+		// Last-resort isolation: build recovers its own panics, so this
+		// fires only for bugs in the worker loop itself; the flight
+		// fails and the pipeline unblocks via the cancel in fail, rather
+		// than the process dying.
 		defer guard.Rescue("rewrite.mcrWorker", fail)
 		for e := range in {
 			if pctx.Err() != nil {
@@ -258,7 +245,7 @@ func generateCRs(ctx context.Context, labels *Labeling, q, v *tpq.Pattern, limit
 				fail(err)
 				continue
 			}
-			cr, err := buildVerify(e.f)
+			cr, err := g.build(e.f)
 			if err != nil {
 				fail(err)
 				continue
@@ -279,6 +266,14 @@ func generateCRs(ctx context.Context, labels *Labeling, q, v *tpq.Pattern, limit
 		}
 	}
 	emit := func(f *Embedding) error {
+		first, err := g.fresh(f)
+		if err != nil {
+			return err
+		}
+		considered++
+		if !first {
+			return nil
+		}
 		if in == nil {
 			head = append(head, f)
 			if len(head) < crPipelineBatch {
@@ -311,7 +306,7 @@ func generateCRs(ctx context.Context, labels *Labeling, q, v *tpq.Pattern, limit
 	sp.Observe(obs.StageEnumerate, t)
 
 	if in == nil {
-		// Serial path: the whole enumeration fit in the head buffer.
+		// Serial path: every domain fit in the head buffer.
 		if streamErr != nil && partialReason(streamErr) == "" {
 			return nil, 0, streamErr
 		}
@@ -326,13 +321,13 @@ func generateCRs(ctx context.Context, labels *Labeling, q, v *tpq.Pattern, limit
 					return nil, 0, err
 				}
 			}
-			cr, err := buildVerify(f)
+			cr, err := g.build(f)
 			if err != nil {
 				return nil, 0, err
 			}
 			crs = append(crs, cr)
 		}
-		return crs, len(head), streamErr
+		return crs, considered, streamErr
 	}
 
 	close(in)
@@ -357,17 +352,17 @@ func generateCRs(ctx context.Context, labels *Labeling, q, v *tpq.Pattern, limit
 		if partialReason(streamErr) != "" {
 			// Workers drained whatever was already in flight; their
 			// completed CRs are the sound subset.
-			return collect(), seq, streamErr
+			return collect(), considered, streamErr
 		}
 		return nil, 0, streamErr
 	}
 	if err := ctx.Err(); err != nil {
 		if partialReason(err) != "" {
-			return collect(), seq, err
+			return collect(), considered, err
 		}
 		return nil, 0, err
 	}
-	return collect(), seq, nil
+	return collect(), considered, nil
 }
 
 // assemblePartial packages the CRs completed before a budget or
@@ -719,7 +714,8 @@ func buildUnchecked(f *Embedding, base *tpq.Pattern) (*ContainedRewriting, error
 	// parallel redundancy elimination, where concurrent readers must
 	// never trigger a lazy relabel.
 	r.Reindex()
-	// The compensation is extracted on demand (ensureCompensation):
-	// candidate CRs rejected by the containment filter never pay for it.
+	// The compensation is extracted on demand (ensureCompensation): the
+	// result assemblies extract it for the CRs they keep, so candidates
+	// dropped on the way never pay for it.
 	return &ContainedRewriting{Rewriting: r, Embedding: f, dVc: dVc}, nil
 }

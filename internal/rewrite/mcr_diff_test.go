@@ -2,6 +2,7 @@ package rewrite
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -15,17 +16,24 @@ import (
 )
 
 // referenceMCR is the pre-pipeline MCR path kept for differential
-// testing: materialize every useful embedding with Enumerate, build and
-// verify each CR serially, then assemble. The streaming pipeline must
-// produce exactly this result.
+// testing: materialize every useful embedding with the frozen
+// map-based enumerator (streamRef), build each CR with its compensation
+// and verify it serially — one CR per embedding, no domain sharing —
+// then assemble. Past the embedding budget it assembles the Partial
+// union of the embeddings enumerated before the wall. The streaming
+// pipeline must produce exactly this result.
 func referenceMCR(q, v *tpq.Pattern, limit int) (*Result, error) {
 	ctx := context.Background()
 	labels := ComputeLabels(q, v, nil)
 	if !labels.Exists() {
 		return &Result{Union: &tpq.Union{}}, nil
 	}
-	embs, err := labels.Enumerate(ctx, limit)
-	if err != nil {
+	var embs []*Embedding
+	err := streamRef(labels, ctx, limit, func(f *Embedding) error {
+		embs = append(embs, f)
+		return nil
+	})
+	if err != nil && !errors.Is(err, ErrEmbeddingBudget) {
 		return nil, err
 	}
 	var crs []*ContainedRewriting
@@ -39,7 +47,35 @@ func referenceMCR(q, v *tpq.Pattern, limit int) (*Result, error) {
 		}
 		crs = append(crs, cr)
 	}
+	if err != nil {
+		return assemblePartial(crs, len(embs), PartialBudget), nil
+	}
 	return assembleResult(ctx, crs, len(embs))
+}
+
+// sameCRs reports the first difference between two results' kept CRs,
+// in order: rewriting, representative embedding signature and
+// compensation, or "" when they agree.
+func sameCRs(got, want *Result) string {
+	if len(got.CRs) != len(want.CRs) {
+		return fmt.Sprintf("%d CRs, reference has %d", len(got.CRs), len(want.CRs))
+	}
+	for i := range got.CRs {
+		g, w := got.CRs[i], want.CRs[i]
+		if g.Rewriting.String() != w.Rewriting.String() {
+			return fmt.Sprintf("CR %d: rewriting %s, reference %s", i, g.Rewriting, w.Rewriting)
+		}
+		if gs, ws := g.Embedding.Signature(), w.Embedding.Signature(); gs != ws {
+			return fmt.Sprintf("CR %d: embedding %s, reference %s", i, gs, ws)
+		}
+		if g.Compensation == nil {
+			return fmt.Sprintf("CR %d: no compensation", i)
+		}
+		if g.Compensation.String() != w.Compensation.String() {
+			return fmt.Sprintf("CR %d: compensation %s, reference %s", i, g.Compensation, w.Compensation)
+		}
+	}
+	return ""
 }
 
 // disjunctSet returns the sorted canonical forms of the result's union.
@@ -65,15 +101,24 @@ func sameStrings(a, b []string) bool {
 }
 
 // TestMCRMatchesReference checks the streaming parallel pipeline
-// against the materialize-then-build reference on random instances:
-// identical disjunct sets, identical embedding counts.
+// against the materialize-then-build reference on random instances and
+// composed keys:
+// identical disjunct sets, identical embedding counts, and the same
+// kept CRs with the same representative embeddings and compensations.
 func TestMCRMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	alphabet := []string{"a", "b", "c"}
 	checked := 0
-	for trial := 0; trial < 600; trial++ {
-		q := workload.RandomPattern(rng, alphabet, 7)
-		v := workload.RandomPattern(rng, alphabet, 7)
+	for trial := 0; trial < 1000; trial++ {
+		// 600 random pairs, then 400 composed keys, where embeddings
+		// sharing a domain are common.
+		var q, v *tpq.Pattern
+		if trial < 600 {
+			q = workload.RandomPattern(rng, alphabet, 7)
+			v = workload.RandomPattern(rng, alphabet, 7)
+		} else {
+			q, v = composedKey(t, rng)
+		}
 		got, errGot := MCR(q, v, Options{})
 		want, errWant := referenceMCR(q, v, DefaultMaxEmbeddings)
 		if (errGot == nil) != (errWant == nil) {
@@ -90,10 +135,13 @@ func TestMCRMatchesReference(t *testing.T) {
 			t.Fatalf("union mismatch for q=%s v=%s:\n  pipeline:  %v\n  reference: %v",
 				q.Canonical(), v.Canonical(), disjunctSet(got), disjunctSet(want))
 		}
+		if diff := sameCRs(got, want); diff != "" {
+			t.Fatalf("q=%s v=%s: %s", q.Canonical(), v.Canonical(), diff)
+		}
 		checked++
 	}
-	if checked < 500 {
-		t.Fatalf("only %d instances checked, want >= 500", checked)
+	if checked < 900 {
+		t.Fatalf("only %d instances checked, want >= 900", checked)
 	}
 }
 
@@ -117,6 +165,9 @@ func TestMCRMatchesReferenceExponential(t *testing.T) {
 		}
 		if !sameStrings(disjunctSet(got), disjunctSet(want)) {
 			t.Fatalf("n=%d: union mismatch", n)
+		}
+		if diff := sameCRs(got, want); diff != "" {
+			t.Fatalf("n=%d: %s", n, diff)
 		}
 		// Determinism: the paper's 2^n disjuncts in a fixed order.
 		again, err := MCR(q, v, Options{})

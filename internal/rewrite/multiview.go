@@ -148,7 +148,7 @@ func MCRMultiView(q *tpq.Pattern, views []ViewSource, opts Options) (*MultiViewR
 				return // no nonempty embedding possible, no trivial CR
 			}
 			// Trivial CR only: synthesized directly, no labeling pass.
-			cr, err := buildVerifyCR(ctx, sp, &Embedding{Q: q, V: vs.View}, vs.View, q)
+			cr, err := newCRGen(ctx, q, vs.View, nil).next(&Embedding{Q: q, V: vs.View})
 			if err != nil {
 				slots[i].err = err
 				return
@@ -159,11 +159,12 @@ func MCRMultiView(q *tpq.Pattern, views []ViewSource, opts Options) (*MultiViewR
 		tl := sp.Start()
 		labels := qs.LabelsFor(vs.View)
 		sp.Observe(obs.StageBatchChase, tl)
+		g := newCRGen(ctx, q, vs.View, nil)
 		seen := make(map[string]bool)
 		te := sp.Start()
 		err := labels.Stream(ctx, limit, func(f *Embedding) error {
-			cr, err := buildVerifyCR(ctx, sp, f, vs.View, q)
-			if err != nil {
+			cr, err := g.next(f)
+			if err != nil || cr == nil {
 				return err
 			}
 			key := cr.Rewriting.Canonical()
@@ -208,7 +209,7 @@ func MCRMultiView(q *tpq.Pattern, views []ViewSource, opts Options) (*MultiViewR
 			go func() {
 				defer wg.Done()
 				// A panic processing one view must fail that view's slot,
-				// not the process; buildVerifyCR recovers its own panics,
+				// not the process; crGen recovers its own panics,
 				// so this guards only the loop itself.
 				defer guard.Rescue("rewrite.multiViewWorker", func(err error) {})
 				for {
@@ -280,36 +281,12 @@ func MCRMultiView(q *tpq.Pattern, views []ViewSource, opts Options) (*MultiViewR
 		if redundant[i] {
 			continue
 		}
+		t.cr.ensureCompensation()
 		out.Union.Patterns = append(out.Union.Patterns, t.cr.Rewriting)
 		out.CRs = append(out.CRs, t.cr)
 		out.Contributions = append(out.Contributions, t.view)
 	}
 	return out, nil
-}
-
-// buildVerifyCR materializes and soundness-checks the CR induced by one
-// useful embedding — the batch pipeline's counterpart of generateCRs'
-// buildVerify closure, panic-isolated the same way.
-func buildVerifyCR(ctx context.Context, sp *obs.Span, f *Embedding, base, q *tpq.Pattern) (cr *ContainedRewriting, err error) {
-	defer guard.Recover(&err, "rewrite.buildVerifyCR")
-	if err := faultBuildCR.Hit(ctx); err != nil {
-		return nil, err
-	}
-	t := sp.Start()
-	cr, err = BuildCR(f, base)
-	sp.Observe(obs.StageBuildCR, t)
-	if err != nil {
-		return nil, fmt.Errorf("rewrite: embedding %s: %w", f, err)
-	}
-	t = sp.Start()
-	contained := cr.VerifyContained(q)
-	sp.Observe(obs.StageContain, t)
-	if !contained {
-		// Useful embeddings induce contained rewritings by
-		// construction; reaching this indicates a bug upstream.
-		return nil, fmt.Errorf("rewrite: internal error: CR %s not contained in %s (embedding %s)", cr.Rewriting, q, f)
-	}
-	return cr, nil
 }
 
 // AnswerMultiView answers the query against a document through the

@@ -84,7 +84,7 @@ func (sc *SchemaContext) graftCut(dVTag string) CutCheck {
 // intelligently chased view exists whose induced rewriting is
 // satisfiable w.r.t. the schema. Runs in polynomial time (Theorem 9).
 func (sc *SchemaContext) AnswerableWithSchema(q, v *tpq.Pattern) bool {
-	cr, err := sc.mcrSingle(nil, q, v)
+	cr, err := sc.mcrSingle(context.Background(), q, v)
 	return err == nil && cr != nil
 }
 
@@ -105,13 +105,14 @@ func (sc *SchemaContext) MCRWithSchemaCtx(ctx context.Context, q, v *tpq.Pattern
 	if sc.Schema.IsRecursive() {
 		return nil, fmt.Errorf("rewrite: schema is recursive; use MCRRecursive")
 	}
-	cr, err := sc.mcrSingle(obs.SpanFrom(ctx), q, v)
+	cr, err := sc.mcrSingle(ctx, q, v)
 	if err != nil {
 		return nil, err
 	}
 	if cr == nil {
 		return &Result{Union: &tpq.Union{}}, nil
 	}
+	cr.ensureCompensation()
 	return &Result{
 		Union:                tpq.NewUnion(cr.Rewriting),
 		CRs:                  []*ContainedRewriting{cr},
@@ -125,8 +126,8 @@ func (sc *SchemaContext) MCRWithSchemaCtx(ctx context.Context, q, v *tpq.Pattern
 // the ORIGINAL view (the compensation runs on real materialized data;
 // schema-guaranteed nodes need not be re-checked, per Example 3), and
 // validate satisfiability and schema-relative containment. Returns
-// (nil, nil) when no MCR exists.
-func (sc *SchemaContext) mcrSingle(sp *obs.Span, q, v *tpq.Pattern) (*ContainedRewriting, error) {
+// (nil, nil) when no MCR exists. The CR carries no compensation yet.
+func (sc *SchemaContext) mcrSingle(ctx context.Context, q, v *tpq.Pattern) (*ContainedRewriting, error) {
 	if q.HasWildcard() || v.HasWildcard() {
 		return nil, fmt.Errorf("rewrite: wildcard patterns are outside XP{/,//,[]}; the MCR algorithms do not support them")
 	}
@@ -135,6 +136,7 @@ func (sc *SchemaContext) mcrSingle(sp *obs.Span, q, v *tpq.Pattern) (*ContainedR
 		// instances admits no rewriting with a non-empty instance.
 		return nil, nil
 	}
+	sp := obs.SpanFrom(ctx)
 	t := sp.Start()
 	vPrime := chase.Intelligent(v, q, sc.Sigma)
 	sp.Observe(obs.StageChase, t)
@@ -145,25 +147,9 @@ func (sc *SchemaContext) mcrSingle(sp *obs.Span, q, v *tpq.Pattern) (*ContainedR
 	if f == nil {
 		return nil, nil
 	}
-	t = sp.Start()
-	cr, err := BuildCR(f, v)
-	sp.Observe(obs.StageBuildCR, t)
-	if err != nil {
-		return nil, err
-	}
-	t = sp.Start()
-	if !sc.Schema.Satisfiable(cr.Rewriting) {
-		// Theorem 7(ii): the rewriting must totally embed into the
-		// schema graph.
-		sp.Observe(obs.StageContain, t)
-		return nil, nil
-	}
-	ok := sc.SContained(cr.Rewriting, q)
-	sp.Observe(obs.StageContain, t)
-	if !ok {
-		return nil, fmt.Errorf("rewrite: internal error: CR %s not S-contained in %s", cr.Rewriting, q)
-	}
-	return cr, nil
+	// An unsatisfiable CR (Theorem 7(ii): the rewriting must totally
+	// embed into the schema graph) comes back nil: no MCR exists.
+	return newCRGen(ctx, q, v, sc).next(f)
 }
 
 // greedyMaximal extracts one useful embedding that maps a node whenever
@@ -171,39 +157,54 @@ func (sc *SchemaContext) mcrSingle(sp *obs.Span, q, v *tpq.Pattern) (*ContainedR
 // admissible embedding clips the same node set, so any maximal one
 // induces the (unique) schema-case CR.
 func (l *Labeling) greedyMaximal() *Embedding {
-	m := make(map[*tpq.Node]*tpq.Node)
-	var assign func(x *tpq.Node) bool
-	assign = func(x *tpq.Node) bool {
-		img := m[x]
-		j := l.vpos(img)
-		for _, y := range x.Children {
-			yi := l.qpos(y)
+	// cur holds each query position's image position (-1: unmapped).
+	cur := make([]int32, len(l.qn))
+	for i := range cur {
+		cur[i] = -1
+	}
+	var assign func(i int) bool
+	assign = func(i int) bool {
+		j := int(cur[i])
+		for yi := i + 1; yi < int(l.qEnd[i]); yi = int(l.qEnd[yi]) {
 			mapped := false
-			for _, cand := range l.candidates(y, j) {
-				if l.okAt(yi, l.vpos(cand)) {
-					m[y] = cand
-					if assign(y) {
+			for _, c := range l.candidates(yi, j) {
+				if l.okAt(yi, int(c)) {
+					cur[yi] = c
+					if assign(yi) {
 						mapped = true
 						break
 					}
-					delete(m, y)
+					for k := yi; k < int(l.qEnd[yi]); k++ {
+						cur[k] = -1
+					}
 				}
 			}
 			if mapped {
 				continue
 			}
-			if !l.cutAllowed(y, img, j) {
+			if !l.cutAllowed(yi, j) {
 				return false
 			}
 		}
 		return true
 	}
-	for _, rootImg := range l.RootImages() {
-		m[l.Q.Root] = rootImg
-		if assign(l.Q.Root) {
+	for j := range l.vn {
+		if !l.okAt(0, j) {
+			continue
+		}
+		cur[0] = int32(j)
+		if assign(0) {
+			m := make(map[*tpq.Node]*tpq.Node)
+			for i, c := range cur {
+				if c >= 0 {
+					m[l.qn[i]] = l.vn[c]
+				}
+			}
 			return &Embedding{Q: l.Q, V: l.V, M: m}
 		}
-		m = make(map[*tpq.Node]*tpq.Node)
+		for k := range cur {
+			cur[k] = -1
+		}
 	}
 	if l.emptyAllowed() {
 		return &Embedding{Q: l.Q, V: l.V, M: nil}
@@ -233,13 +234,29 @@ func (sc *SchemaContext) MCRRecursive(q, v *tpq.Pattern, opts Options) (*Result,
 	t := sp.Start()
 	vPrime := chase.Intelligent(v, q, sc.Sigma)
 	sp.Observe(obs.StageChase, t)
+	// Every embedding is validated and counted as it is emitted; only
+	// the first of each domain is kept for building (crGen), after
+	// the enumeration so the two stages stay apart.
+	g := newCRGen(ctx, q, v, sc)
+	var firsts []*Embedding
+	considered := 0
 	t = sp.Start()
 	labels := ComputeLabels(q, vPrime, sc.graftCut(vPrime.Output.Tag))
-	embeddings, err := labels.Enumerate(ctx, limit)
+	err := labels.Stream(ctx, limit, func(f *Embedding) error {
+		first, err := g.fresh(f)
+		if err != nil {
+			return err
+		}
+		if first {
+			firsts = append(firsts, f)
+		}
+		considered++
+		return nil
+	})
 	sp.Observe(obs.StageEnumerate, t)
-	// Budget/deadline overruns degrade gracefully: Enumerate returns the
-	// prefix produced before the wall, and each CR below is individually
-	// verified S-contained, so the partial union is sound.
+	// Budget/deadline overruns degrade gracefully: the embeddings
+	// streamed before the wall are built, and each CR below is
+	// individually verified S-contained, so the partial union is sound.
 	reason := PartialReason("")
 	if err != nil {
 		if reason = partialReason(err); reason == "" {
@@ -247,8 +264,7 @@ func (sc *SchemaContext) MCRRecursive(q, v *tpq.Pattern, opts Options) (*Result,
 		}
 	}
 	var crs []*ContainedRewriting
-	considered := 0
-	for i, f := range embeddings {
+	for i, f := range firsts {
 		if i&255 == 0 {
 			if err := ctx.Err(); err != nil {
 				if r := partialReason(err); r != "" {
@@ -259,29 +275,18 @@ func (sc *SchemaContext) MCRRecursive(q, v *tpq.Pattern, opts Options) (*Result,
 				return nil, err
 			}
 		}
-		t = sp.Start()
-		cr, err := BuildCR(f, v)
-		sp.Observe(obs.StageBuildCR, t)
+		cr, err := g.build(f)
 		if err != nil {
 			return nil, err
 		}
-		t = sp.Start()
-		sat := sc.Schema.Satisfiable(cr.Rewriting)
-		contained := sat && sc.SContained(cr.Rewriting, q)
-		sp.Observe(obs.StageContain, t)
-		considered++
-		if !sat {
-			continue
+		if cr != nil {
+			crs = append(crs, cr)
 		}
-		if !contained {
-			return nil, fmt.Errorf("rewrite: internal error: CR %s not S-contained in %s", cr.Rewriting, q)
-		}
-		crs = append(crs, cr)
 	}
 	if reason != "" {
 		return assembleSchemaPartial(crs, considered, reason), nil
 	}
-	res, err := sc.assembleSchemaResult(ctx, crs, len(embeddings))
+	res, err := sc.assembleSchemaResult(ctx, crs, considered)
 	if err != nil {
 		if r := partialReason(err); r != "" {
 			// Deadline inside schema-relative redundancy elimination.
@@ -294,8 +299,7 @@ func (sc *SchemaContext) MCRRecursive(q, v *tpq.Pattern, opts Options) (*Result,
 
 // assembleSchemaPartial mirrors assemblePartial for the schema path:
 // structural dedup and deterministic order only, skipping the quadratic
-// S-containment matrix. Compensation extraction matches
-// assembleSchemaResult, which leaves it on demand.
+// S-containment matrix. The kept CRs get their compensations here.
 func assembleSchemaPartial(crs []*ContainedRewriting, considered int, reason PartialReason) *Result {
 	seen := make(map[string]bool, len(crs))
 	res := &Result{
@@ -315,6 +319,7 @@ func assembleSchemaPartial(crs []*ContainedRewriting, considered int, reason Par
 	}
 	sortCRs(kept)
 	for _, cr := range kept {
+		cr.ensureCompensation()
 		res.CRs = append(res.CRs, cr)
 		res.Union.Patterns = append(res.Union.Patterns, cr.Rewriting)
 	}
@@ -346,6 +351,7 @@ func (sc *SchemaContext) assembleSchemaResult(ctx context.Context, crs []*Contai
 	res := &Result{Union: &tpq.Union{}, EmbeddingsConsidered: considered}
 	for i, cr := range uniq {
 		if !redundant[i] {
+			cr.ensureCompensation()
 			res.CRs = append(res.CRs, cr)
 			res.Union.Patterns = append(res.Union.Patterns, cr.Rewriting)
 		}

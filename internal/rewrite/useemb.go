@@ -47,17 +47,18 @@ type Labeling struct {
 	// query subtree below qn[i] is handled (mapped or admissibly cut).
 	ok []bool
 
-	pv      []bool        // view position lies on the view's distinguished path
-	onPQ    []bool        // query position lies on the query's distinguished path
-	vDesc   [][]*tpq.Node // per view position: proper descendants (shared views)
-	vKidsC  [][]*tpq.Node // per view position: children reached by a pc-edge
-	cut     CutCheck
-	canCutQ []bool // cached cut admissibility per query position
+	pv      []bool  // view position lies on the view's distinguished path
+	onPQ    []bool  // query position lies on the query's distinguished path
+	qParent []int32 // per query position: its parent's position (-1 at the root)
+	qEnd    []int32 // per query position: one past the last position of its subtree
+	// vSeq is the identity over view positions: the proper descendants
+	// of the view node at j are vSeq[j+1 : vEnd[j]].
+	vSeq, vEnd []int32
+	vKidsC     [][]int32 // per view position: children reached by a pc-edge
+	vOut       int       // the view output's position
+	cut        CutCheck
+	canCutQ    []bool // cached cut admissibility per query position
 }
-
-// qpos and vpos are the O(1) preorder positions of query and view nodes.
-func (l *Labeling) qpos(n *tpq.Node) int { return l.Q.Preorder(n) }
-func (l *Labeling) vpos(n *tpq.Node) int { return l.V.Preorder(n) }
 
 func (l *Labeling) okAt(i, j int) bool { return l.ok[i*len(l.vn)+j] }
 
@@ -68,17 +69,18 @@ func ComputeLabels(q, v *tpq.Pattern, cut CutCheck) *Labeling {
 }
 
 // QuerySide is the query half of the labeling pass: the preorder node
-// list, distinguished-path membership and cut admissibility of every
-// query node. It depends only on the query (and the cut check), so the
-// batched multi-view pipeline computes it once and reuses it across
-// every candidate view instead of rebuilding it |catalog| times inside
-// ComputeLabels.
+// list, subtree extents, distinguished-path membership and cut
+// admissibility of every query node. It depends only on the query (and
+// the cut check), so the batched multi-view pipeline computes it once
+// and reuses it across every candidate view instead of rebuilding it
+// |catalog| times inside ComputeLabels.
 type QuerySide struct {
-	Q       *tpq.Pattern
-	qn      []*tpq.Node
-	onPQ    []bool
-	canCutQ []bool
-	cut     CutCheck
+	Q             *tpq.Pattern
+	qn            []*tpq.Node
+	onPQ          []bool
+	canCutQ       []bool
+	qParent, qEnd []int32
+	cut           CutCheck
 }
 
 // NewQuerySide precomputes the query-side labeling metadata.
@@ -87,9 +89,13 @@ func NewQuerySide(q *tpq.Pattern, cut CutCheck) *QuerySide {
 	nq := len(qs.qn)
 	buf := make([]bool, 2*nq)
 	qs.onPQ, qs.canCutQ = buf[:nq], buf[nq:]
+	ibuf := make([]int32, 2*nq)
+	qs.qParent, qs.qEnd = ibuf[:nq], ibuf[nq:]
 	for i, n := range qs.qn {
 		qs.onPQ[i] = q.OnDistinguishedPath(n)
 		qs.canCutQ[i] = cut == nil || cut(n)
+		qs.qParent[i] = int32(q.Preorder(n.Parent)) // -1 for the root
+		qs.qEnd[i] = int32(i + 1 + len(q.Descendants(n)))
 	}
 	return qs
 }
@@ -131,23 +137,26 @@ func (qs *QuerySide) LabelsFor(v *tpq.Pattern) *Labeling {
 		Q: qs.Q, V: v,
 		qn: qs.qn, vn: v.PreorderNodes(),
 		cut: qs.cut, onPQ: qs.onPQ, canCutQ: qs.canCutQ,
+		qParent: qs.qParent, qEnd: qs.qEnd,
+		vOut: v.Preorder(v.Output),
 	}
 	nq, nv := len(l.qn), len(l.vn)
-	// All per-view boolean state shares one backing allocation.
+	// All per-view boolean state shares one backing allocation, and so
+	// does all per-view position state (vSeq, vEnd, the pc-child lists).
 	buf := make([]bool, nq*nv+nv)
 	l.ok, l.pv = buf[:nq*nv], buf[nq*nv:]
+	ibuf := make([]int32, 3*nv)
+	l.vSeq, l.vEnd = ibuf[:nv:nv], ibuf[nv:2*nv:2*nv]
+	kidsBuf := ibuf[2*nv : 2*nv]
+	l.vKidsC = make([][]int32, nv)
 	for j, n := range l.vn {
 		l.pv[j] = v.OnDistinguishedPath(n)
-	}
-	l.vDesc = make([][]*tpq.Node, nv)
-	l.vKidsC = make([][]*tpq.Node, nv)
-	kidsBuf := make([]*tpq.Node, 0, nv) // one backing array for all pc-child lists
-	for j, n := range l.vn {
-		l.vDesc[j] = v.Descendants(n)
+		l.vSeq[j] = int32(j)
+		l.vEnd[j] = int32(j + 1 + len(v.Descendants(n)))
 		start := len(kidsBuf)
 		for _, c := range n.Children {
 			if c.Axis == tpq.Child {
-				kidsBuf = append(kidsBuf, c)
+				kidsBuf = append(kidsBuf, int32(v.Preorder(c)))
 			}
 		}
 		l.vKidsC[j] = kidsBuf[start:len(kidsBuf):len(kidsBuf)]
@@ -156,42 +165,43 @@ func (qs *QuerySide) LabelsFor(v *tpq.Pattern) *Labeling {
 	// Post-order: children of qn[i] have larger preorder indexes, so
 	// iterate in reverse preorder.
 	for i := nq - 1; i >= 0; i-- {
-		x := l.qn[i]
 		row := l.ok[i*nv:]
-		for j, img := range l.vn {
-			row[j] = l.feasible(x, img, j)
+		for j := range l.vn {
+			row[j] = l.feasible(i, j)
 		}
 	}
 	return l
 }
 
-// feasible decides ok[x][img]: tags match, path discipline holds, and
+// feasible decides ok[i][j]: tags match, path discipline holds, and
 // every child is either mappable consistently or admissibly cut.
-func (l *Labeling) feasible(x *tpq.Node, img *tpq.Node, j int) bool {
-	if x.Tag != img.Tag {
+func (l *Labeling) feasible(i, j int) bool {
+	x := l.qn[i]
+	if x.Tag != l.vn[j].Tag {
 		return false
 	}
 	if x == l.Q.Output {
-		if img != l.V.Output {
+		if j != l.vOut {
 			return false
 		}
-	} else if l.onPQ[l.qpos(x)] && !l.pv[j] {
+	} else if l.onPQ[i] && !l.pv[j] {
 		return false
 	}
-	if x.Parent == nil && x.Axis == tpq.Child {
+	if i == 0 && x.Axis == tpq.Child {
 		// '/t' query root must be the view root, itself rooted '/t'.
-		if img != l.V.Root || l.V.Root.Axis != tpq.Child {
+		if j != 0 || l.V.Root.Axis != tpq.Child {
 			return false
 		}
 	}
-	for _, y := range x.Children {
-		if l.cutAllowed(y, img, j) {
+	// The children of position i, in order, are i+1 and then each
+	// previous child's subtree end, up to i's own.
+	for yi := i + 1; yi < int(l.qEnd[i]); yi = int(l.qEnd[yi]) {
+		if l.cutAllowed(yi, j) {
 			continue
 		}
-		yi := l.qpos(y)
 		found := false
-		for _, cand := range l.candidates(y, j) {
-			if l.okAt(yi, l.vpos(cand)) {
+		for _, c := range l.candidates(yi, j) {
+			if l.okAt(yi, int(c)) {
 				found = true
 				break
 			}
@@ -203,26 +213,27 @@ func (l *Labeling) feasible(x *tpq.Node, img *tpq.Node, j int) bool {
 	return true
 }
 
-// candidates lists the view nodes y may map to when its parent maps to
-// the view node at position j. The returned slice is a shared
-// precomputed view — never modified, never reallocated per call.
-func (l *Labeling) candidates(y *tpq.Node, j int) []*tpq.Node {
-	if y.Axis == tpq.Child {
+// candidates lists the view positions the query node at position yi
+// may map to when its parent maps to the view node at position j. The
+// returned slice is a shared precomputed view — never modified, never
+// reallocated per call.
+func (l *Labeling) candidates(yi, j int) []int32 {
+	if l.qn[yi].Axis == tpq.Child {
 		return l.vKidsC[j]
 	}
-	return l.vDesc[j]
+	return l.vSeq[j+1 : l.vEnd[j]]
 }
 
-// cutAllowed reports whether the subtree at y may be left unmapped when
-// y's parent maps to img (at view position j): ad-edges cut below
-// distinguished-path nodes, pc-edges only below the view output itself
-// (Def 1 (ii)(b)), plus the caller's CutCheck.
-func (l *Labeling) cutAllowed(y *tpq.Node, img *tpq.Node, j int) bool {
-	if !l.canCutQ[l.qpos(y)] {
+// cutAllowed reports whether the subtree at query position yi may be
+// left unmapped when its parent maps to the view node at position j:
+// ad-edges cut below distinguished-path nodes, pc-edges only below the
+// view output itself (Def 1 (ii)(b)), plus the caller's CutCheck.
+func (l *Labeling) cutAllowed(yi, j int) bool {
+	if !l.canCutQ[yi] {
 		return false
 	}
-	if y.Axis == tpq.Child {
-		return img == l.V.Output
+	if l.qn[yi].Axis == tpq.Child {
+		return j == l.vOut
 	}
 	return l.pv[j]
 }
@@ -264,113 +275,131 @@ func (l *Labeling) Exists() bool {
 // is polled periodically inside the branching recursion, so cancelling
 // it stops an exponential enumeration promptly with ctx's error. An
 // error returned by emit aborts the enumeration and is returned as-is.
+//
+// The enumeration decides the query nodes in preorder: the empty
+// embedding first, then each admissible root image in view order; below
+// a mapped node, each child is first cut (its whole subtree skipped)
+// when the cut is admissible, then mapped to each admissible candidate
+// in view order.
 func (l *Labeling) Stream(ctx context.Context, limit int, emit func(*Embedding) error) error {
-	produced := 0
-	steps := 0
-	seen := make(map[string]bool)
-	sig := make([]byte, 0, 4*len(l.qn))
-	cur := make(map[*tpq.Node]*tpq.Node, len(l.qn))
-
-	// yield hands the current assignment to emit unless its signature
-	// was already seen (different branches can coincide after cuts).
-	yield := func() error {
-		if err := faultEnumerate.Hit(ctx); err != nil {
-			return err
-		}
-		produced++
-		if produced > limit {
-			return fmt.Errorf("rewrite: more than %d useful embeddings: %w", limit, ErrEmbeddingBudget)
-		}
-		sig = sig[:0]
-		for i, x := range l.qn {
-			if i > 0 {
-				sig = append(sig, ',')
-			}
-			if img, ok := cur[x]; ok {
-				sig = strconv.AppendInt(sig, int64(l.vpos(img)), 10)
-			} else {
-				sig = append(sig, '_')
-			}
-		}
-		if seen[string(sig)] {
-			return nil
-		}
-		seen[string(sig)] = true
-		cp := make(map[*tpq.Node]*tpq.Node, len(cur))
-		for k, v := range cur {
-			cp[k] = v
-		}
-		return emit(&Embedding{Q: l.Q, V: l.V, M: cp})
+	s := &enumeration{
+		l: l, ctx: ctx, limit: limit, emit: emit,
+		cur:  make([]int32, len(l.qn)),
+		seen: make(map[string]bool),
+		sig:  make([]byte, 0, 4*len(l.qn)),
 	}
-
-	// assign maps the subtree below x given x ∈ cur, then calls next.
-	var assign func(x *tpq.Node, next func() error) error
-	assign = func(x *tpq.Node, next func() error) error {
-		steps++
-		if steps&255 == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		img := cur[x]
-		j := l.vpos(img)
-		// Recursively branch over each child's choices.
-		var perChild func(k int) error
-		perChild = func(k int) error {
-			if k == len(x.Children) {
-				return next()
-			}
-			y := x.Children[k]
-			yi := l.qpos(y)
-			if l.cutAllowed(y, img, j) {
-				if err := perChild(k + 1); err != nil {
-					return err
-				}
-			}
-			for _, cand := range l.candidates(y, j) {
-				if !l.okAt(yi, l.vpos(cand)) {
-					continue
-				}
-				cur[y] = cand
-				err := assign(y, func() error { return perChild(k + 1) })
-				delete(cur, y)
-				if err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		return perChild(0)
+	for i := range s.cur {
+		s.cur[i] = -1
 	}
-
 	if l.emptyAllowed() {
-		if err := yield(); err != nil {
+		if err := s.yield(); err != nil {
 			return err
 		}
 	}
-	for _, rootImg := range l.RootImages() {
+	for j := range l.vn {
+		if !l.okAt(0, j) {
+			continue
+		}
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		cur[l.Q.Root] = rootImg
-		err := assign(l.Q.Root, yield)
-		delete(cur, l.Q.Root)
-		if err != nil {
+		if err := s.assign(0, int32(j)); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Enumerate collects every useful embedding from Stream into a slice.
-// Prefer Stream in pipelines that can process embeddings incrementally.
-// On error the embeddings enumerated so far are returned alongside it,
-// so budget/deadline overruns can degrade into a sound partial result.
-func (l *Labeling) Enumerate(ctx context.Context, limit int) ([]*Embedding, error) {
-	var out []*Embedding
-	err := l.Stream(ctx, limit, func(e *Embedding) error {
-		out = append(out, e)
+// enumeration is the state of one Stream call. The partial embedding is
+// a slice indexed by query position holding each image's view position
+// (-1: unmapped), so a step is an array store and its undo another.
+type enumeration struct {
+	l     *Labeling
+	ctx   context.Context
+	limit int
+	emit  func(*Embedding) error
+
+	cur                     []int32
+	mapped, produced, steps int
+	seen                    map[string]bool // signatures already emitted
+	sig                     []byte
+}
+
+// assign maps query position i to view position j, decides the nodes
+// after i, then unmaps i.
+func (s *enumeration) assign(i int, j int32) error {
+	s.cur[i] = j
+	s.mapped++
+	s.steps++
+	var err error
+	if s.steps&255 == 0 {
+		err = s.ctx.Err()
+	}
+	if err == nil {
+		err = s.walk(i + 1)
+	}
+	s.cur[i] = -1
+	s.mapped--
+	return err
+}
+
+// walk decides query positions i onward. Every ancestor of position i
+// is mapped: walk is entered from a mapped node's next position, or
+// from a cut node's subtree end, whose parent is an ancestor of the cut
+// node.
+func (s *enumeration) walk(i int) error {
+	if i == len(s.cur) {
+		return s.yield()
+	}
+	l := s.l
+	j := int(s.cur[l.qParent[i]])
+	if l.cutAllowed(i, j) {
+		if err := s.walk(int(l.qEnd[i])); err != nil {
+			return err
+		}
+	}
+	for _, c := range l.candidates(i, j) {
+		if !l.okAt(i, int(c)) {
+			continue
+		}
+		if err := s.assign(i, c); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// yield hands the current assignment to emit unless its signature was
+// already seen.
+func (s *enumeration) yield() error {
+	if err := faultEnumerate.Hit(s.ctx); err != nil {
+		return err
+	}
+	s.produced++
+	if s.produced > s.limit {
+		return fmt.Errorf("rewrite: more than %d useful embeddings: %w", s.limit, ErrEmbeddingBudget)
+	}
+	s.sig = s.sig[:0]
+	for i, j := range s.cur {
+		if i > 0 {
+			s.sig = append(s.sig, ',')
+		}
+		if j >= 0 {
+			s.sig = strconv.AppendInt(s.sig, int64(j), 10)
+		} else {
+			s.sig = append(s.sig, '_')
+		}
+	}
+	if s.seen[string(s.sig)] {
 		return nil
-	})
-	return out, err
+	}
+	s.seen[string(s.sig)] = true
+	l := s.l
+	m := make(map[*tpq.Node]*tpq.Node, s.mapped)
+	for i, j := range s.cur {
+		if j >= 0 {
+			m[l.qn[i]] = l.vn[j]
+		}
+	}
+	return s.emit(&Embedding{Q: l.Q, V: l.V, M: m})
 }
