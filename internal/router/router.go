@@ -1012,24 +1012,23 @@ func (t *latencyTracker) delay(floor time.Duration) time.Duration {
 	return floor
 }
 
-// writeJSON buffers the encoding so a marshal failure becomes a clean
-// 500 instead of a half-written 200.
+// writeJSON encodes v before writing anything, so a marshal failure
+// becomes a clean 500 instead of a half-written 200. Bodies are compact
+// and newline-terminated, as the replicas write them.
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	b, err := json.Marshal(v)
+	if err != nil {
 		httpError(w, http.StatusInternalServerError, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	w.Write(buf.Bytes())
+	w.Write(append(b, '\n'))
 }
 
 func httpError(w http.ResponseWriter, code int, err error) {
 	msg, _ := json.Marshal(err.Error())
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	fmt.Fprintf(w, "{\n  \"error\": %s\n}\n", msg)
+	fmt.Fprintf(w, "{\"error\":%s}\n", msg)
 }

@@ -14,9 +14,9 @@ import (
 // The /v1/answer body is written in one pass straight from the engine's
 // answer: no response struct, no reflection, and no per-answer path
 // string. The bytes are exactly what encodeJSON renders for the fields
-// below (two-space indent, encoding/json's HTML-safe string escaping,
-// omitempty on every field but union, programs and answers, answers
-// null when empty):
+// below (compact, encoding/json's HTML-safe string escaping, omitempty
+// on every field but union, programs and answers, answers null when
+// empty, one trailing newline):
 //
 //	union              string
 //	viewNodes          int, omitempty: direct mode
@@ -46,54 +46,53 @@ func writeAnswer(w http.ResponseWriter, ans *engine.Answer) {
 
 // appendAnswer appends the /v1/answer body of ans to b.
 func appendAnswer(b []byte, ans *engine.Answer) []byte {
-	b = append(b, "{\n  \"union\": "...)
+	b = append(b, `{"union":`...)
 	b = appendString(b, ans.Result.Union.String())
 	b = appendIntField(b, "viewNodes", len(ans.ViewNodes))
 	b = appendIntField(b, "viewTrees", ans.Trees)
-	b = append(b, ",\n  \"answers\": "...)
+	b = append(b, `,"answers":`...)
 	if len(ans.Answers) == 0 {
 		b = append(b, "null"...)
 	} else {
-		b = append(b, '[')
 		for i, n := range ans.Answers {
-			if i > 0 {
-				b = append(b, ',')
+			if i == 0 {
+				b = append(b, `[{"path":`...)
+			} else {
+				b = append(b, `},{"path":`...)
 			}
-			b = append(b, "\n    {\n      \"path\": "...)
 			b = appendPath(b, n)
 			if n.Text != "" {
-				b = append(b, ",\n      \"text\": "...)
+				b = append(b, `,"text":`...)
 				b = appendString(b, n.Text)
 			}
-			b = append(b, "\n    }"...)
 		}
-		b = append(b, "\n  ]"...)
+		b = append(b, "}]"...)
 	}
 	b = appendIntField(b, "directAnswerCount", len(ans.Direct))
 	if ans.Plan != nil {
-		b = append(b, ",\n  \"plan\": {\n    \"programs\": "...)
+		b = append(b, `,"plan":{"programs":`...)
 		b = strconv.AppendInt(b, int64(ans.Plan.Programs()), 10)
 		if ans.Exec != nil && len(ans.Exec.Backends) > 0 {
-			b = append(b, ",\n    \"backends\": ["...)
 			for i, be := range ans.Exec.Backends {
-				if i > 0 {
+				if i == 0 {
+					b = append(b, `,"backends":[`...)
+				} else {
 					b = append(b, ',')
 				}
-				b = append(b, "\n      "...)
 				b = appendString(b, be.String())
 			}
-			b = append(b, "\n    ]"...)
+			b = append(b, ']')
 		}
-		b = append(b, "\n  }"...)
+		b = append(b, '}')
 	}
 	if ans.Result.Partial {
-		b = append(b, ",\n  \"partial\": true"...)
+		b = append(b, `,"partial":true`...)
 	}
 	if r := string(ans.Result.PartialReason); r != "" {
-		b = append(b, ",\n  \"partialReason\": "...)
+		b = append(b, `,"partialReason":`...)
 		b = appendString(b, r)
 	}
-	return append(b, "\n}\n"...)
+	return append(b, "}\n"...)
 }
 
 // appendIntField appends an omitempty int field.
@@ -101,9 +100,9 @@ func appendIntField(b []byte, name string, v int) []byte {
 	if v == 0 {
 		return b
 	}
-	b = append(b, ",\n  \""...)
+	b = append(b, `,"`...)
 	b = append(b, name...)
-	b = append(b, "\": "...)
+	b = append(b, `":`...)
 	return strconv.AppendInt(b, int64(v), 10)
 }
 

@@ -76,6 +76,7 @@ func oracleAnswerBody(t *testing.T, ans *engine.Answer) []byte {
 func checkAnswerBody(t *testing.T, tag string, ans *engine.Answer) {
 	t.Helper()
 	want := oracleAnswerBody(t, ans)
+	requireCompact(t, want)
 	if got := appendAnswer(nil, ans); !bytes.Equal(got, want) {
 		t.Fatalf("%s: body differs from the reflective encoding\n got %q\nwant %q", tag, got, want)
 	}

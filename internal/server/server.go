@@ -9,6 +9,7 @@
 //	POST /v1/contain  {p, q, schema?}
 //	POST /v1/views    {name, view, document}
 //	GET  /v1/views
+//	GET  /v1/views?q=&k=   (catalog probe: stats and ranked selection)
 //	GET  /v1/stats
 //	GET  /v1/slowlog
 //	GET  /metrics
@@ -36,7 +37,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -469,44 +469,54 @@ func (s *Service) handleRegisterView(w http.ResponseWriter, r *http.Request) {
 type listViewsResponse struct {
 	Views []string               `json:"views"`
 	Stats viewstore.CatalogStats `json:"stats"`
-	// Selected is present when the request carried ?q=: the catalog's
-	// top-k candidate views for that query, ranked by signature
-	// tightness (?k= caps the list, default 10, 0 = all candidates).
-	Selected []viewstore.SelectedView `json:"selected,omitempty"`
+}
+
+// selectViewsResponse is the body of a catalog probe (?q=): the
+// catalog's statistics and its top-k candidate views for the query,
+// ranked by signature tightness (?k= caps the list, default 10, 0 = all
+// candidates). It never lists the registered names, so its size follows
+// the selection, not the catalog.
+type selectViewsResponse struct {
+	Stats    viewstore.CatalogStats   `json:"stats"`
+	Selected []viewstore.SelectedView `json:"selected"`
 }
 
 // handleListViews lists the registered views plus the catalog's
-// statistics. With ?q=<tree pattern> it additionally ranks the
-// signature-index candidates for that query (?k= bounds the list).
+// statistics. With ?q=<tree pattern> it instead probes the catalog:
+// the statistics and the ranked signature-index candidates for that
+// query (?k= bounds the list).
 func (s *Service) handleListViews(w http.ResponseWriter, r *http.Request) {
-	resp := listViewsResponse{Views: s.eng.ViewNames(), Stats: s.eng.ViewStats()}
-	if resp.Views == nil {
-		resp.Views = []string{}
+	qExpr := r.URL.Query().Get("q")
+	if qExpr == "" {
+		resp := listViewsResponse{Views: s.eng.ViewNames(), Stats: s.eng.ViewStats()}
+		if resp.Views == nil {
+			resp.Views = []string{}
+		}
+		writeJSON(w, resp)
+		return
 	}
-	if qExpr := r.URL.Query().Get("q"); qExpr != "" {
-		parsed, err := s.eng.Parse(engine.OpSelect, engine.Text{Query: qExpr})
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
+	parsed, err := s.eng.Parse(engine.OpSelect, engine.Text{Query: qExpr})
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err)
+		return
+	}
+	k := 10
+	if ks := r.URL.Query().Get("k"); ks != "" {
+		if k, err = strconv.Atoi(ks); err != nil || k < 0 {
+			httpError(w, http.StatusBadRequest, fmt.Errorf("k: not a non-negative integer: %q", ks))
 			return
 		}
-		k := 10
-		if ks := r.URL.Query().Get("k"); ks != "" {
-			if k, err = strconv.Atoi(ks); err != nil || k < 0 {
-				httpError(w, http.StatusBadRequest, fmt.Errorf("k: not a non-negative integer: %q", ks))
-				return
-			}
-		}
-		sel, err := s.eng.SelectViews(r.Context(), parsed.Query, k)
-		if err != nil {
-			httpError(w, statusFor(err), err)
-			return
-		}
-		if sel == nil {
-			sel = []viewstore.SelectedView{}
-		}
-		resp.Selected = sel
 	}
-	writeJSON(w, resp)
+	stats := s.eng.ViewStats()
+	sel, err := s.eng.SelectViews(r.Context(), parsed.Query, k)
+	if err != nil {
+		httpError(w, statusFor(err), err)
+		return
+	}
+	if sel == nil {
+		sel = []viewstore.SelectedView{}
+	}
+	writeJSON(w, selectViewsResponse{Stats: stats, Selected: sel})
 }
 
 type containRequest struct {
@@ -611,15 +621,15 @@ func writeJSONStatus(w http.ResponseWriter, code int, v any) {
 }
 
 // encodeJSON renders v as every JSON response body is rendered:
-// two-space indented, newline-terminated.
+// compact, with encoding/json's HTML-safe string escaping, and
+// newline-terminated. Clients that want to read a body can pipe it
+// through `python3 -m json.tool`.
 func encodeJSON(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	b, err := json.Marshal(v)
+	if err != nil {
 		return nil, fmt.Errorf("encoding response: %w", err)
 	}
-	return buf.Bytes(), nil
+	return append(b, '\n'), nil
 }
 
 // writeBody writes an encoded JSON body with its status code.
@@ -642,5 +652,5 @@ func httpError(w http.ResponseWriter, code int, err error) {
 	msg, _ := json.Marshal(err.Error())
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	fmt.Fprintf(w, "{\n  \"error\": %s\n}\n", msg)
+	fmt.Fprintf(w, "{\"error\":%s}\n", msg)
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -555,14 +556,44 @@ func TestRegisterAndAnswerStoredView(t *testing.T) {
 	req = httptest.NewRequest("GET", "/v1/views?q=//Trials//Trial&k=5", nil)
 	lrec = httptest.NewRecorder()
 	h.ServeHTTP(lrec, req)
-	var sel struct {
-		Selected []map[string]any `json:"selected"`
-	}
+	var sel map[string]json.RawMessage
 	if err := json.Unmarshal(lrec.Body.Bytes(), &sel); err != nil {
 		t.Fatal(err)
 	}
-	if len(sel.Selected) != 1 || sel.Selected[0]["name"] != "src1" {
-		t.Fatalf("selected = %v", sel.Selected)
+	// A probe carries the catalog statistics and the selection, never
+	// the list of registered names.
+	if _, ok := sel["views"]; ok || len(sel) != 2 {
+		t.Fatalf("probe fields: %s", lrec.Body)
+	}
+	var probeStats map[string]any
+	if err := json.Unmarshal(sel["stats"], &probeStats); err != nil || probeStats["views"] != 1.0 {
+		t.Fatalf("probe stats: %s", sel["stats"])
+	}
+	var selected []map[string]any
+	if err := json.Unmarshal(sel["selected"], &selected); err != nil {
+		t.Fatal(err)
+	}
+	if len(selected) != 1 || selected[0]["name"] != "src1" {
+		t.Fatalf("selected = %v", selected)
+	}
+
+	// Registering a second view: the plain listing names both, and a
+	// probe matching neither still carries an empty selection.
+	if rec, _ := post(t, h, "/v1/views", `{"name":"src2","view":"//Other","document":"<Other/>"}`); rec.Code != http.StatusOK {
+		t.Fatalf("register src2: status %d: %s", rec.Code, rec.Body.String())
+	}
+	lrec = httptest.NewRecorder()
+	h.ServeHTTP(lrec, httptest.NewRequest("GET", "/v1/views", nil))
+	if err := json.Unmarshal(lrec.Body.Bytes(), &listed); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(listed.Views, []string{"src1", "src2"}) {
+		t.Fatalf("views = %v", listed.Views)
+	}
+	lrec = httptest.NewRecorder()
+	h.ServeHTTP(lrec, httptest.NewRequest("GET", "/v1/views?q=//Nowhere", nil))
+	if !strings.HasSuffix(lrec.Body.String(), `,"selected":[]}`+"\n") {
+		t.Fatalf("empty probe: %s", lrec.Body)
 	}
 
 	rec, out = post(t, h, "/v1/answer", `{"query":"//Trials//Trial/Patient","viewName":"src1"}`)
