@@ -65,6 +65,7 @@ fuzz:
 	$(GO) test ./internal/xmltree -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/rewrite -run '^$$' -fuzz '^FuzzRewriteRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/rewrite -run '^$$' -fuzz '^FuzzMCRMatchesReference$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/plan -run '^$$' -fuzz '^FuzzJoinsMatchTreeDP$$' -fuzztime $(FUZZTIME)
 
 clean:
 	rm -rf bin

@@ -247,13 +247,14 @@ func (f *Forest) list(tag string) []int32 {
 
 // scratch is one program run's working memory, pooled on the forest
 // and never shared between concurrent runs: the child joins' bitset
-// over positions, zero between joins, and the arena the join lists are
-// filtered into.
+// over positions, zero between joins, the arena the join lists are
+// filtered into, and the order a node's predicates join in.
 type scratch struct {
 	bits  []uint64
 	arena []int32
 	lists [][]int32
 	owned [][]int32
+	order []int32
 }
 
 func (f *Forest) getScratch() *scratch {

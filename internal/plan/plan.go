@@ -38,12 +38,14 @@ import (
 )
 
 // op is one lowered pattern node: its tag, the axis of the edge to its
-// parent, and the preorder positions of its children. The positions
-// replace pointer chasing in the exec inner loops.
+// parent, whether it lies on the distinguished path, and the preorder
+// positions of its predicate children (every child but the one on the
+// path). The positions replace pointer chasing in the exec inner loops.
 type op struct {
-	tag      string
-	axis     tpq.Axis
-	children []int32
+	tag    string
+	axis   tpq.Axis
+	onPath bool
+	preds  []int32
 }
 
 // program is one compiled compensation query.
@@ -165,15 +167,19 @@ func lower(canon string, pinned *tpq.Pattern) *program {
 		prep:  pinned.Prepare(),
 		ops:   make([]op, len(nodes)),
 	}
-	for i, n := range nodes {
-		o := op{tag: n.Tag, axis: n.Axis}
-		for _, c := range n.Children {
-			o.children = append(o.children, int32(pinned.Preorder(c)))
-		}
-		pr.ops[i] = o
-	}
 	for _, n := range pinned.DistinguishedPath() {
-		pr.path = append(pr.path, int32(pinned.Preorder(n)))
+		i := int32(pinned.Preorder(n))
+		pr.path = append(pr.path, i)
+		pr.ops[i].onPath = true
+	}
+	for i, n := range nodes {
+		o := &pr.ops[i]
+		o.tag, o.axis = n.Tag, n.Axis
+		for _, c := range n.Children {
+			if ci := int32(pinned.Preorder(c)); !pr.ops[ci].onPath {
+				o.preds = append(o.preds, ci)
+			}
+		}
 	}
 	return pr
 }

@@ -11,6 +11,7 @@ package qav_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -23,6 +24,7 @@ import (
 	"time"
 
 	"qav/internal/engine"
+	"qav/internal/plan"
 	"qav/internal/router"
 	"qav/internal/server"
 	"qav/internal/tpq"
@@ -143,13 +145,7 @@ var storedTemplates = []string{
 // rewrite and plan caches and the forest indexes are warm.
 func bootStored(tb testing.TB, groups int) http.Handler {
 	tb.Helper()
-	d, err := workload.ClinicalTrialsDoc(context.Background(), rand.New(rand.NewSource(1)), groups, 50, 0.1)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	eng := engine.New(engine.Config{CacheSize: 1024})
-	eng.RegisterView("trials", viewstore.Materialize(tpq.MustParse("//Trials"), d))
-	eng.RegisterView("trial", viewstore.Materialize(tpq.MustParse("//Trials//Trial"), d))
+	eng, _ := storedEngine(tb, groups)
 	h := server.NewService(eng).Handler()
 	for _, body := range storedTemplates {
 		if code := answerOnce(h, body); code != http.StatusOK {
@@ -157,6 +153,26 @@ func bootStored(tb testing.TB, groups int) http.Handler {
 		}
 	}
 	return h
+}
+
+// storedEngine returns an engine with both views registered over a
+// document of `groups` Trials groups of 50 trials, a tenth of the
+// groups carrying Status, and the views by name.
+func storedEngine(tb testing.TB, groups int) (*engine.Engine, map[string]*viewstore.Materialized) {
+	tb.Helper()
+	d, err := workload.ClinicalTrialsDoc(context.Background(), rand.New(rand.NewSource(1)), groups, 50, 0.1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	eng := engine.New(engine.Config{CacheSize: 1024})
+	views := map[string]*viewstore.Materialized{
+		"trials": viewstore.Materialize(tpq.MustParse("//Trials"), d),
+		"trial":  viewstore.Materialize(tpq.MustParse("//Trials//Trial"), d),
+	}
+	for name, m := range views {
+		eng.RegisterView(name, m)
+	}
+	return eng, views
 }
 
 // answerOnce sends one /v1/answer request through h and returns its
@@ -184,6 +200,41 @@ func BenchmarkStoredAnswer(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkStoredPlanExec times Plan.Exec alone, one sub-benchmark per
+// stored template, at the benchmark's size (200 groups): the plan and
+// the forest index are the engine's cached ones, so what runs is the
+// structural joins and the answer union, with no request around them.
+func BenchmarkStoredPlanExec(b *testing.B) {
+	ctx := context.Background()
+	eng, views := storedEngine(b, 200)
+	for i, body := range storedTemplates {
+		var text engine.Text
+		if err := json.Unmarshal([]byte(body), &text); err != nil {
+			b.Fatal(err)
+		}
+		req, err := eng.Parse(engine.OpAnswer, text)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ans, err := eng.Answer(ctx, req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		f, err := views[text.ViewName].ForestIndex(ctx)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("template=%d", i), func(b *testing.B) {
+			b.ReportAllocs()
+			for n := 0; n < b.N; n++ {
+				if _, err := ans.Plan.Exec(ctx, f, plan.ExecOptions{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // storedAnswerMaxAllocs bounds the mean allocations of one stored-view
