@@ -521,9 +521,9 @@ func expCache(ctx context.Context, eng *engine.Engine, seed int64) {
 }
 
 // E14 (answer plans): end-to-end answering over a ~10^6-node corpus —
-// per-CR naive evaluation vs the compiled plan under each forced
-// backend and Auto. The plan is compiled once and the
-// forest indexed once (both timed); exec is timed per backend.
+// per-CR naive evaluation vs the compiled plan. The plan is compiled
+// once and the forest indexed once (both timed); the plan's answer
+// count is checked against the naive one.
 func expAnswer(ctx context.Context, eng *engine.Engine, seed int64) {
 	w := table("E14 answer plans: compiled plan vs naive per-CR evaluation",
 		"method", "answers", "t(index)", "t(exec)", "speedup")
@@ -560,18 +560,16 @@ func expAnswer(ctx context.Context, eng *engine.Engine, seed int64) {
 			panic(err)
 		}
 	})
-	for _, be := range []plan.Backend{plan.StructJoin, plan.TreeDP, plan.Stream, plan.Auto} {
-		var r *plan.ExecResult
-		tExec := timeIt(3, func() {
-			if r, err = pl.Exec(ctx, f, plan.ExecOptions{Backend: be}); err != nil {
-				panic(err)
-			}
-		})
-		if len(r.Nodes()) != len(naive) {
-			panic(fmt.Sprintf("backend %s: %d answers, naive %d", be, len(r.Nodes()), len(naive)))
+	var r *plan.ExecResult
+	tExec := timeIt(3, func() {
+		if r, err = pl.Exec(ctx, f, plan.ExecOptions{}); err != nil {
+			panic(err)
 		}
-		fmt.Fprintf(w, "plan/%s\t%d\t%v\t%v\t%.2fx\n",
-			be, len(r.Nodes()), tIndex, tExec, float64(tNaive)/float64(tExec))
+	})
+	if len(r.Matches) != len(naive) {
+		panic(fmt.Sprintf("plan: %d answers, naive %d", len(r.Matches), len(naive)))
 	}
+	fmt.Fprintf(w, "plan\t%d\t%v\t%v\t%.2fx\n",
+		len(r.Matches), tIndex, tExec, float64(tNaive)/float64(tExec))
 	w.Flush()
 }

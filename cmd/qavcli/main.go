@@ -6,13 +6,13 @@
 // Usage:
 //
 //	qavcli rewrite -q XPATH -v XPATH [-schema FILE] [-recursive] [-server URL [-retries N] [-verbose]]
-//	qavcli answer  -q XPATH -v XPATH -doc FILE [-schema FILE] [-backend B]
+//	qavcli answer  -q XPATH -v XPATH -doc FILE [-schema FILE]
 //	qavcli eval    -q XPATH -doc FILE
 //	qavcli contain -p XPATH -q XPATH [-schema FILE]
 //	qavcli constraints -schema FILE
 //	qavcli chase   -v XPATH -schema FILE [-q XPATH]
 //	qavcli ship    -v XPATH -doc FILE [-o FILE]
-//	qavcli mediate -q XPATH -view FILE [-backend B]
+//	qavcli mediate -q XPATH -view FILE
 //	qavcli select  -workload FILE -k N
 //
 // All rewriting-pipeline commands route through internal/engine, the
@@ -33,7 +33,6 @@ import (
 
 	"qav"
 	"qav/internal/engine"
-	"qav/internal/plan"
 	"qav/internal/rewrite"
 	"qav/internal/schema"
 	"qav/internal/tpq"
@@ -169,14 +168,9 @@ func cmdAnswer(ctx context.Context, eng *engine.Engine, args []string) error {
 	vExpr := fs.String("v", "", "view")
 	docFile := fs.String("doc", "", "XML document")
 	schemaFile := fs.String("schema", "", "optional schema file")
-	backend := fs.String("backend", "auto", "plan backend: auto, structjoin, treedp or stream")
 	fs.Parse(args)
 	if *qExpr == "" || *vExpr == "" || *docFile == "" {
 		return fmt.Errorf("-q, -v and -doc are required")
-	}
-	be, err := plan.ParseBackend(*backend)
-	if err != nil {
-		return err
 	}
 	q, err := qav.ParseQuery(*qExpr)
 	if err != nil {
@@ -199,7 +193,7 @@ func cmdAnswer(ctx context.Context, eng *engine.Engine, args []string) error {
 			fmt.Fprintln(os.Stderr, "warning: document does not conform to schema:", err)
 		}
 	}
-	ans, err := eng.Answer(ctx, engine.Request{Query: q, View: v, Schema: g, PlanBackend: be, Document: d})
+	ans, err := eng.Answer(ctx, engine.Request{Query: q, View: v, Schema: g, Document: d})
 	if errors.Is(err, engine.ErrNotAnswerable) {
 		return fmt.Errorf("query is not answerable using the view")
 	}
@@ -210,26 +204,13 @@ func cmdAnswer(ctx context.Context, eng *engine.Engine, args []string) error {
 		fmt.Printf("PARTIAL (%s): answers come from a sound but possibly non-maximal rewriting\n", ans.Result.PartialReason)
 	}
 	fmt.Printf("materialized view: %d nodes\n", len(ans.ViewNodes))
-	printPlan(ans.Plan, ans.Exec)
+	fmt.Printf("plan: %d program(s)\n", ans.Plan.Programs())
 	fmt.Printf("answers via view (%d):\n", len(ans.Answers))
 	for _, n := range ans.Answers {
 		printAnswer(n)
 	}
 	fmt.Printf("direct evaluation of the query finds %d answers\n", len(ans.Direct))
 	return nil
-}
-
-// printPlan summarizes the compiled answer plan: program count and the
-// backend that executed each program.
-func printPlan(pl *plan.Plan, exec *plan.ExecResult) {
-	if pl == nil {
-		return
-	}
-	parts := make([]string, len(exec.Backends))
-	for i, b := range exec.Backends {
-		parts[i] = b.String()
-	}
-	fmt.Printf("plan: %d program(s), backends [%s]\n", pl.Programs(), strings.Join(parts, " "))
 }
 
 func cmdEval(ctx context.Context, args []string) error {
@@ -417,14 +398,9 @@ func cmdMediate(ctx context.Context, eng *engine.Engine, args []string) error {
 	fs := flag.NewFlagSet("mediate", flag.ExitOnError)
 	qExpr := fs.String("q", "", "query")
 	viewFile := fs.String("view", "", "shipped view file (from qavcli ship)")
-	backend := fs.String("backend", "auto", "plan backend: auto, structjoin, treedp or stream")
 	fs.Parse(args)
 	if *qExpr == "" || *viewFile == "" {
 		return fmt.Errorf("-q and -view are required")
-	}
-	be, err := plan.ParseBackend(*backend)
-	if err != nil {
-		return err
 	}
 	q, err := qav.ParseQuery(*qExpr)
 	if err != nil {
@@ -441,7 +417,7 @@ func cmdMediate(ctx context.Context, eng *engine.Engine, args []string) error {
 	}
 	fmt.Printf("stored view %s: %d tree(s)\n", m.Expr, len(m.Forest))
 	eng.RegisterView(*viewFile, m)
-	sa, err := eng.Answer(ctx, engine.Request{Query: q, ViewName: *viewFile, PlanBackend: be})
+	sa, err := eng.Answer(ctx, engine.Request{Query: q, ViewName: *viewFile})
 	if errors.Is(err, engine.ErrNotAnswerable) {
 		return fmt.Errorf("query is not answerable using the stored view")
 	}
@@ -452,7 +428,7 @@ func cmdMediate(ctx context.Context, eng *engine.Engine, args []string) error {
 		fmt.Printf("PARTIAL (%s): sound but possibly non-maximal rewriting\n", sa.Result.PartialReason)
 	}
 	fmt.Println("rewriting:", sa.Result.Union)
-	printPlan(sa.Plan, sa.Exec)
+	fmt.Printf("plan: %d program(s)\n", sa.Plan.Programs())
 	fmt.Printf("answers (%d):\n", len(sa.Answers))
 	for _, n := range sa.Answers {
 		printAnswer(n)

@@ -58,7 +58,7 @@ var ErrUnknownView = errors.New("engine: no stored view with that name")
 
 // An InvalidRequestError reports an unparsable request input. Field
 // names the offending input: "query", "view", "schema", "document",
-// "backend", "name", "p", or "q".
+// "name", "p", or "q".
 type InvalidRequestError struct {
 	Field string
 	Err   error
@@ -301,9 +301,6 @@ type Request struct {
 	// NoCache bypasses the rewrite cache (used by benchmarks measuring
 	// the raw pipeline, and by callers that will mutate the result).
 	NoCache bool
-	// PlanBackend forces the answer-plan execution backend for this
-	// request; the zero value (plan.Auto) runs the structural joins.
-	PlanBackend plan.Backend
 	// Document is the source a direct Answer materializes View over; it
 	// is required unless ViewName is set.
 	Document *xmltree.Document
@@ -334,7 +331,6 @@ type Text struct {
 	Schema    string // optional schema DSL text
 	Recursive bool
 	Document  string // XML text
-	Backend   string // optional plan backend ("auto", "structjoin", "treedp", "stream")
 	// ViewName names a stored view: the one an answer runs over in place
 	// of View and Document, or the one a registration stores.
 	ViewName string
@@ -347,8 +343,8 @@ type Text struct {
 const (
 	// OpRewrite: query and view; optional schema.
 	OpRewrite = names.OpRewrite
-	// OpAnswer: query, view, optional schema and backend, and document;
-	// with a ViewName, only query and optional backend.
+	// OpAnswer: query, view, optional schema, and document; with a
+	// ViewName, only query.
 	OpAnswer = names.OpAnswer
 	// OpContain: p and q, carried in Query and View; optional schema.
 	OpContain = "contain"
@@ -399,11 +395,6 @@ func (e *Engine) Parse(op string, t Text) (req Request, err error) {
 	if t.Schema != "" {
 		if req.Schema, err = e.intern.schemaGraph(t.Schema); err != nil {
 			return Request{}, &InvalidRequestError{Field: "schema", Err: err}
-		}
-	}
-	if t.Backend != "" {
-		if req.PlanBackend, err = plan.ParseBackend(t.Backend); err != nil {
-			return Request{}, &InvalidRequestError{Field: "backend", Err: err}
 		}
 	}
 	if needDoc {
@@ -582,7 +573,7 @@ func (e *Engine) RewriteBatch(ctx context.Context, reqs []Text) []BatchOutcome {
 
 // Answer is the outcome of answering a query through a view: the
 // rewriting used, the answers obtained by executing the compiled answer
-// plan, and the plan with its execution detail.
+// plan, and the plan.
 type Answer struct {
 	Result  *rewrite.Result
 	Answers []*xmltree.Node
@@ -596,8 +587,6 @@ type Answer struct {
 	Trees int
 	// Plan is the compiled (cached) answer plan the request executed.
 	Plan *plan.Plan
-	// Exec carries the execution detail (per-program backends).
-	Exec *plan.ExecResult
 }
 
 // planFor returns the compiled answer plan for the CR set, from the
@@ -624,7 +613,7 @@ func (e *Engine) planFor(ctx context.Context, crs []*rewrite.ContainedRewriting)
 // not the process) and admission control (indexing and execution scan
 // the forest, so they queue or shed under saturation like any other
 // compute; plan-cache lookups happen before the gate).
-func (e *Engine) answerPlan(ctx context.Context, crs []*rewrite.ContainedRewriting, index func(context.Context) (*plan.Forest, error), backend plan.Backend) (pl *plan.Plan, exec *plan.ExecResult, err error) {
+func (e *Engine) answerPlan(ctx context.Context, crs []*rewrite.ContainedRewriting, index func(context.Context) (*plan.Forest, error)) (pl *plan.Plan, exec *plan.ExecResult, err error) {
 	defer guard.Recover(&err, "engine.answer")
 	pl, err = e.planFor(ctx, crs)
 	if err != nil {
@@ -639,7 +628,7 @@ func (e *Engine) answerPlan(ctx context.Context, crs []*rewrite.ContainedRewriti
 	if err != nil {
 		return nil, nil, err
 	}
-	exec, err = pl.Exec(ctx, f, plan.ExecOptions{Backend: backend})
+	exec, err = pl.Exec(ctx, f, plan.ExecOptions{})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -690,12 +679,12 @@ func (e *Engine) Answer(ctx context.Context, req Request) (*Answer, error) {
 	}
 	sp := obs.NewSpan()
 	start := time.Now()
-	ans.Plan, ans.Exec, err = e.answerPlan(obs.WithSpan(ctx, sp), res.CRs, index, req.PlanBackend)
+	pl, exec, err := e.answerPlan(obs.WithSpan(ctx, sp), res.CRs, index)
 	e.observe(obs.SlowEntry{Op: names.OpAnswer}, req, sp, time.Since(start), err)
 	if err != nil {
 		return nil, err
 	}
-	ans.Answers = ans.Exec.Nodes()
+	ans.Plan, ans.Answers = pl, exec.Nodes()
 	if stored == nil {
 		ans.Direct = req.Query.Evaluate(req.Document)
 	}

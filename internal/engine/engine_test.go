@@ -12,7 +12,6 @@ import (
 	"qav/internal/guard"
 	"qav/internal/leaktest"
 	"qav/internal/limits"
-	"qav/internal/plan"
 	"qav/internal/rewrite"
 	"qav/internal/schema"
 	"qav/internal/tpq"
@@ -529,23 +528,16 @@ func TestAnswerStoredView(t *testing.T) {
 	}
 	e.RegisterView("src1", viewstore.Materialize(tpq.MustParse("//Trials//Trial"), d))
 	q := tpq.MustParse("//Trials//Trial/Patient")
-	for _, be := range []plan.Backend{plan.Auto, plan.StructJoin, plan.TreeDP, plan.Stream} {
-		sa, err := e.Answer(context.Background(), Request{Query: q, ViewName: "src1", PlanBackend: be})
+	for run := 0; run < 4; run++ {
+		sa, err := e.Answer(context.Background(), Request{Query: q, ViewName: "src1"})
 		if err != nil {
-			t.Fatalf("backend %v: %v", be, err)
+			t.Fatalf("run %d: %v", run, err)
 		}
 		if len(sa.Answers) != 2 || sa.Answers[0].Text != "Ann" || sa.Answers[1].Text != "Bob" {
-			t.Fatalf("backend %v: answers = %v", be, sa.Answers)
+			t.Fatalf("run %d: answers = %v", run, sa.Answers)
 		}
-		if sa.Trees != 2 || sa.Plan == nil || sa.Exec == nil {
-			t.Fatalf("backend %v: trees=%d plan=%v exec=%v", be, sa.Trees, sa.Plan, sa.Exec)
-		}
-		if be != plan.Auto {
-			for _, got := range sa.Exec.Backends {
-				if got != be {
-					t.Fatalf("forced %v but program ran %v", be, got)
-				}
-			}
+		if sa.Trees != 2 || sa.Plan == nil {
+			t.Fatalf("run %d: trees=%d plan=%v", run, sa.Trees, sa.Plan)
 		}
 	}
 	// The plan is a pure function of the CR union: the repeats above
@@ -556,22 +548,28 @@ func TestAnswerStoredView(t *testing.T) {
 	}
 }
 
+// TestAnswerStoredExprBackendValidation checks the operands a stored
+// answer validates: the query is parsed and reported by field, while the
+// view operand is not read at all, because the stored view's own
+// expression is the view.
 func TestAnswerStoredExprBackendValidation(t *testing.T) {
 	e := New(Config{})
 	d, _ := xmltree.ParseString("<a><b/></a>")
 	e.RegisterView("v", viewstore.Materialize(tpq.MustParse("//a"), d))
-	if _, err := answerText(e, Text{Query: "//a/b", ViewName: "v", Backend: "bogus"}); err == nil {
-		t.Fatal("bogus backend accepted")
+	if _, err := answerText(e, Text{Query: "((", ViewName: "v"}); err == nil {
+		t.Fatal("unparsable query accepted")
 	} else {
 		var inv *InvalidRequestError
-		if !errors.As(err, &inv) || inv.Field != "backend" {
-			t.Fatalf("err = %v, want InvalidRequestError{backend}", err)
+		if !errors.As(err, &inv) || inv.Field != "query" {
+			t.Fatalf("err = %v, want InvalidRequestError{query}", err)
 		}
 	}
-	if _, err := answerText(e, Text{
-		Query: "//a/b", View: "//a", Document: "<a><b/></a>", Backend: "bogus",
-	}); err == nil {
-		t.Fatal("bogus backend accepted by a direct answer")
+	sa, err := answerText(e, Text{Query: "//a/b", View: "((", ViewName: "v"})
+	if err != nil {
+		t.Fatalf("stored answer read the view operand: %v", err)
+	}
+	if len(sa.Answers) != 1 || sa.Answers[0].Tag != "b" {
+		t.Fatalf("answers = %v, want the single b", sa.Answers)
 	}
 }
 

@@ -43,3 +43,25 @@ func TestCheckCatchesLeak(t *testing.T) {
 	}
 	time.Sleep(20 * time.Millisecond) // let it exit before other tests snapshot
 }
+
+// TestCheckCatchesLeakAfterAnExit: a goroutine running at the snapshot
+// exits, and a new one starts and stays parked. The goroutine count is
+// back where it was, but the new goroutine is still a leak.
+func TestCheckCatchesLeakAfterAnExit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("waits out the settle deadline")
+	}
+	exit := make(chan struct{})
+	go func() { <-exit }()
+	r := &recorder{}
+	done := Check(r)
+	close(exit)
+	stop := make(chan struct{})
+	go func() { <-stop }()
+	done() // the old goroutine is gone, the new one still parked: must report
+	close(stop)
+	if !r.failed {
+		t.Fatal("parked goroutine not reported as leak after another exited")
+	}
+	time.Sleep(20 * time.Millisecond) // let it exit before other tests snapshot
+}

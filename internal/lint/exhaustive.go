@@ -8,17 +8,17 @@ import (
 )
 
 // Exhaustive checks that a switch over one of the module's enum-like
-// named types — plan.Backend, rewrite.PartialReason, tpq.Axis,
-// fault.Action, constraints.Kind, obs.Stage, ... — either covers every
-// declared value of the type or carries an explicit default clause. A
-// type is enum-like when it is a named type declared in this module
-// with an integer or string underlying type and at least two
-// package-level constants of exactly that type in its declaring
-// package. Bound sentinels (constants named Num*, e.g. obs.NumStages)
-// are not values and are exempt.
+// named types — rewrite.PartialReason, tpq.Axis, fault.Action,
+// constraints.Kind, obs.Stage, ... — either covers every declared
+// value of the type or carries an explicit default clause. A type is
+// enum-like when it is a named type declared in this module with an
+// integer or string underlying type and at least two package-level
+// constants of exactly that type in its declaring package. Bound
+// sentinels (constants named Num*, e.g. obs.NumStages) are not values
+// and are exempt.
 //
-// The point is growth safety: when the view-intersection work adds a
-// Backend or a PartialReason, every switch that silently ignores the
+// The point is growth safety: when the view-intersection work adds an
+// Axis or a PartialReason, every switch that silently ignores the
 // new value is a latent bug; this turns each into a diagnostic. A
 // switch that intentionally handles a subset says so with `default:`.
 var Exhaustive = &Analyzer{

@@ -2,7 +2,6 @@ package plan
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"slices"
 	"sync"
@@ -11,7 +10,6 @@ import (
 	"qav/internal/guard"
 	"qav/internal/names"
 	"qav/internal/obs"
-	"qav/internal/stream"
 	"qav/internal/tpq"
 	"qav/internal/xmltree"
 )
@@ -20,54 +18,8 @@ import (
 // chaos plan arms it; see internal/fault).
 var faultExec = fault.Register(names.FaultPlanExec)
 
-// Backend selects the evaluation strategy of one program.
-type Backend int
-
-const (
-	// Auto runs StructJoin: no join costs more than a linear merge of
-	// its two lists, so a program costs O(Σ|lists|) ≤ O(|E|·|F|), the
-	// per-tree DP's work,
-	// and it measured faster than both other backends on dense and
-	// sparse tags alike (EXPERIMENTS.md E19).
-	Auto Backend = iota
-	// StructJoin joins the forest's sorted tag lists, predicates
-	// bottom-up and the distinguished path top-down, seeking through
-	// the longer list where the input allows it — work proportional to
-	// the candidate lists, not the forest.
-	StructJoin
-	// TreeDP runs the compiled tpq dynamic program per tree — work
-	// |E| × |forest| with small constants.
-	TreeDP
-	// Stream replays each tree through the SAX evaluator — the
-	// bounded-memory evaluator, O(depth · |E|) resident per tree.
-	Stream
-)
-
-var backendNames = [...]string{"auto", "structjoin", "treedp", "stream"}
-
-func (b Backend) String() string {
-	if b < 0 || int(b) >= len(backendNames) {
-		return "unknown"
-	}
-	return backendNames[b]
-}
-
-// ParseBackend parses a backend name as accepted by CLI flags and the
-// HTTP API ("auto", "structjoin", "treedp", "stream").
-func ParseBackend(s string) (Backend, error) {
-	for i, n := range backendNames {
-		if s == n {
-			return Backend(i), nil
-		}
-	}
-	return Auto, fmt.Errorf("plan: unknown backend %q", s)
-}
-
 // ExecOptions tune one plan execution.
 type ExecOptions struct {
-	// Backend forces one backend for every program; Auto runs the
-	// structural joins.
-	Backend Backend
 	// Parallel bounds the number of programs executing concurrently;
 	// <= 0 means GOMAXPROCS.
 	Parallel int
@@ -87,9 +39,6 @@ type ExecResult struct {
 	// global preorder for a shared-document forest, (tree, preorder)
 	// for a shipped forest.
 	Matches []Match
-	// Backends records the backend each program ran with, parallel to
-	// the plan's programs.
-	Backends []Backend
 }
 
 // Nodes flattens the matches to their nodes, preserving order.
@@ -120,20 +69,12 @@ func (p *Plan) Exec(ctx context.Context, f *Forest, opts ExecOptions) (*ExecResu
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	backend := opts.Backend
-	if backend == Auto {
-		backend = StructJoin
-	}
-	backends := make([]Backend, len(p.programs))
-	for i := range backends {
-		backends[i] = backend
-	}
 	per := make([][]int32, len(p.programs))
 	scratches := make([]*scratch, len(p.programs))
 	errs := make([]error, len(p.programs))
 	if par := parallelism(opts.Parallel, len(p.programs)); par <= 1 {
 		for i, pr := range p.programs {
-			per[i], scratches[i], errs[i] = runProgram(ctx, pr, f, backend)
+			per[i], scratches[i], errs[i] = runProgram(ctx, pr, f)
 			if errs[i] != nil {
 				break
 			}
@@ -154,7 +95,7 @@ func (p *Plan) Exec(ctx context.Context, f *Forest, opts ExecOptions) (*ExecResu
 				// never a process crash: indices are disjoint, so the
 				// write needs no lock.
 				defer guard.Rescue("plan.exec", func(err error) { errs[i] = err })
-				per[i], scratches[i], errs[i] = runProgram(ctx, pr, f, backend)
+				per[i], scratches[i], errs[i] = runProgram(ctx, pr, f)
 			}(i, pr)
 		}
 		wg.Wait()
@@ -167,7 +108,7 @@ func (p *Plan) Exec(ctx context.Context, f *Forest, opts ExecOptions) (*ExecResu
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	res := &ExecResult{Matches: f.matches(f.union(per)), Backends: backends}
+	res := &ExecResult{Matches: f.matches(f.union(per))}
 	for _, sc := range scratches {
 		if sc != nil {
 			f.putScratch(sc)
@@ -188,63 +129,16 @@ func parallelism(requested, programs int) int {
 }
 
 // runProgram returns the program's answer positions, ascending, with
-// the scratch they may alias (nil for the DP and streaming backends),
-// which the caller pools again once it is done with the positions. A
-// panicking run returns nothing, so its scratch is never reused.
-func runProgram(ctx context.Context, pr *program, f *Forest, b Backend) ([]int32, *scratch, error) {
-	switch b {
-	case TreeDP:
-		pos, err := runTreeDP(ctx, pr, f)
-		return pos, nil, err
-	case Stream:
-		pos, err := runStream(ctx, pr, f)
-		return pos, nil, err
-	default:
-		sc := f.getScratch()
-		pos, err := joinForest(ctx, pr, f, true, sc)
-		return pos, sc, err
-	}
+// the scratch they may alias, which the caller pools again once it is
+// done with the positions. A panicking run returns nothing, so its
+// scratch is never reused.
+func runProgram(ctx context.Context, pr *program, f *Forest) ([]int32, *scratch, error) {
+	sc := f.getScratch()
+	pos, err := joinForest(ctx, pr, f, true, sc)
+	return pos, sc, err
 }
 
-// runTreeDP evaluates the program by pinning the compiled pattern to
-// each tree root in turn — the naive per-tree strategy, compiled once.
-// Its answers come back in window order, which maps onto positions by
-// their preorder offset from the tree root.
-func runTreeDP(ctx context.Context, pr *program, f *Forest) ([]int32, error) {
-	var out []int32
-	for ti, t := range f.trees {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		base, off := f.roots[ti], t.Root.Index
-		for _, n := range pr.prep.EvaluateAt(t.Doc, t.Root) {
-			out = append(out, base+int32(n.Index-off))
-		}
-	}
-	return out, nil
-}
-
-// runStream replays each tree through the SAX evaluator. The answers
-// come back as preorder positions within the walked subtree, which are
-// offsets from the tree's root position.
-func runStream(ctx context.Context, pr *program, f *Forest) ([]int32, error) {
-	var out []int32
-	for ti, t := range f.trees {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		answers, err := stream.EvaluateNode(ctx, t.Root, pr.comp)
-		if err != nil {
-			return nil, err
-		}
-		for _, a := range answers {
-			out = append(out, f.roots[ti]+int32(a.Index))
-		}
-	}
-	return out, nil
-}
-
-// joinForest is the structural-join backend. pinRoot restricts the root
+// joinForest runs one program as structural joins. pinRoot restricts the root
 // candidates to the tree roots (the compensation pinning); the general
 // entry point (EvaluateIndexed) passes the pattern's own root axis
 // semantics instead. The joins run path first:
@@ -257,7 +151,7 @@ func runStream(ctx context.Context, pr *program, f *Forest) ([]int32, error) {
 //     its predicate children (never with its path child: the downJoin
 //     below checks that edge for the positions that still matter).
 //
-// A node's predicates join shortest list first, and every join is
+// A node's predicates join shortest list first, and every join
 // seeks through its longer list where it can (see semiKind and
 // downKind for the cost of each kind of join). A join only
 // ever narrows a pattern node's candidates, so each node owns an arena

@@ -11,14 +11,15 @@ import (
 	"qav/internal/xmltree"
 )
 
-// Tree is one member of an indexed forest: the node the compensation
-// queries are pinned to, plus the document that backs its storage. For
-// a shipped forest (viewstore) every tree is a standalone document and
-// Root == Doc.Root; for in-document answering every tree is a window of
-// one shared document and Root is a materialized view node.
-type Tree struct {
-	Doc  *xmltree.Document
-	Root *xmltree.Node
+// window is one member of a forest being indexed: the node the
+// compensation queries are pinned to, plus the document that backs its
+// storage. For a shipped forest (viewstore) every tree is a standalone
+// document and root == doc.Root; for in-document answering every tree
+// is a window of one shared document and root is a materialized view
+// node.
+type window struct {
+	doc  *xmltree.Document
+	root *xmltree.Node
 }
 
 // Forest is the execution-side index of a materialized view forest,
@@ -30,7 +31,6 @@ type Tree struct {
 // per-tag position lists; programs compiled by Compile join those lists
 // (see Plan.Exec) and resolve positions to nodes only for their answers.
 type Forest struct {
-	trees []Tree
 	// parent is the position of a node's parent within the same
 	// window, or -1 for a window root; end is the last position of its
 	// subtree; tree is the tree the position belongs to.
@@ -63,7 +63,7 @@ type Forest struct {
 }
 
 // Trees returns the number of trees in the forest.
-func (f *Forest) Trees() int { return len(f.trees) }
+func (f *Forest) Trees() int { return len(f.roots) }
 
 // Size returns the total number of indexed nodes (counting a shared
 // node once per window containing it).
@@ -81,12 +81,12 @@ func (f *Forest) Shared() bool { return f.shared }
 // document. Indexing walks every node, so the context is polled once
 // per tree and a cancelled ctx aborts with its error.
 func IndexForest(ctx context.Context, forest []*xmltree.Document) (*Forest, error) {
-	trees := make([]Tree, 0, len(forest))
+	trees := make([]window, 0, len(forest))
 	for _, d := range forest {
 		if d == nil || d.Root == nil {
 			continue
 		}
-		trees = append(trees, Tree{Doc: d, Root: d.Root})
+		trees = append(trees, window{doc: d, root: d.Root})
 	}
 	return indexTrees(ctx, trees, false)
 }
@@ -98,12 +98,12 @@ func IndexForest(ctx context.Context, forest []*xmltree.Document) (*Forest, erro
 // per-view-node visibility the naive evaluator has. The context is
 // polled once per window.
 func IndexSubtrees(ctx context.Context, d *xmltree.Document, viewNodes []*xmltree.Node) (*Forest, error) {
-	trees := make([]Tree, 0, len(viewNodes))
+	trees := make([]window, 0, len(viewNodes))
 	for _, n := range viewNodes {
 		if n == nil {
 			continue
 		}
-		trees = append(trees, Tree{Doc: d, Root: n})
+		trees = append(trees, window{doc: d, root: n})
 	}
 	return indexTrees(ctx, trees, true)
 }
@@ -115,7 +115,7 @@ func IndexDocument(ctx context.Context, d *xmltree.Document) (*Forest, error) {
 	if d == nil || d.Root == nil {
 		return indexTrees(ctx, nil, true)
 	}
-	return indexTrees(ctx, []Tree{{Doc: d, Root: d.Root}}, true)
+	return indexTrees(ctx, []window{{doc: d, root: d.Root}}, true)
 }
 
 // indexTrees sizes every column from the window lengths, fills the
@@ -123,19 +123,18 @@ func IndexDocument(ctx context.Context, d *xmltree.Document) (*Forest, error) {
 // the positions into per-tag lists carved from one backing array, so
 // the index allocates a constant number of slices rather than growing
 // one list per tag.
-func indexTrees(ctx context.Context, trees []Tree, shared bool) (*Forest, error) {
+func indexTrees(ctx context.Context, trees []window, shared bool) (*Forest, error) {
 	sp := obs.SpanFrom(ctx)
 	start := sp.Start()
 	defer sp.Observe(obs.StagePlanIndex, start)
 	total := 0
 	for _, t := range trees {
-		total += len(t.Doc.Window(t.Root))
+		total += len(t.doc.Window(t.root))
 	}
 	if total > math.MaxInt32 {
 		return nil, fmt.Errorf("plan: forest of %d nodes exceeds the position space", total)
 	}
 	f := &Forest{
-		trees:  trees,
 		parent: make([]int32, total),
 		end:    make([]int32, total),
 		tree:   make([]int32, total),
@@ -153,8 +152,8 @@ func indexTrees(ctx context.Context, trees []Tree, shared bool) (*Forest, error)
 		}
 		base := int32(len(f.nodes))
 		f.roots[ti] = base
-		off := t.Root.Index
-		for _, n := range t.Doc.Window(t.Root) {
+		off := t.root.Index
+		for _, n := range t.doc.Window(t.root) {
 			p := int32(len(f.nodes))
 			f.nodes = append(f.nodes, n)
 			f.tree[p] = int32(ti)

@@ -8,6 +8,31 @@ import (
 	"qav/internal/xmltree"
 )
 
+// treeDP is the oracle the structural joins are checked against: the
+// per-tree dynamic program, which pins every compensation (normalized
+// as Compile normalizes it) to each tree root in turn. Its answers come
+// back in window order, which maps onto positions by their preorder
+// offset from the tree root; trees must be the windows f was indexed
+// from, in order.
+func treeDP(t *testing.T, f *Forest, trees []window, comps []*tpq.Pattern) []Match {
+	t.Helper()
+	per := make([][]int32, len(comps))
+	for i, c := range comps {
+		pinned, err := normalize(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prep := pinned.Prepare()
+		for ti, w := range trees {
+			base, off := f.roots[ti], w.root.Index
+			for _, n := range prep.EvaluateAt(w.doc, w.root) {
+				per[i] = append(per[i], base+int32(n.Index-off))
+			}
+		}
+	}
+	return f.matches(f.union(per))
+}
+
 // FuzzJoinsMatchTreeDP builds a document and a pattern from the fuzz
 // bytes and demands that the structural joins answer exactly what the
 // per-tree dynamic program answers, over a shipped forest and over the
@@ -26,29 +51,37 @@ func FuzzJoinsMatchTreeDP(f *testing.F) {
 		if err != nil {
 			t.Fatalf("compile %s: %v", p, err)
 		}
-		shipped, err := IndexForest(ctx, []*xmltree.Document{d, d.Clone()})
+		clone := d.Clone()
+		shipped, err := IndexForest(ctx, []*xmltree.Document{d, clone})
 		if err != nil {
 			t.Fatal(err)
 		}
-		windows, err := IndexSubtrees(ctx, d, tpq.MustParse("//a").Evaluate(d))
+		shippedTrees := []window{{doc: d, root: d.Root}, {doc: clone, root: clone.Root}}
+		as := tpq.MustParse("//a").Evaluate(d)
+		windows, err := IndexSubtrees(ctx, d, as)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, forest := range []*Forest{shipped, windows} {
-			want, err := pl.Exec(ctx, forest, ExecOptions{Backend: TreeDP})
+		windowTrees := make([]window, len(as))
+		for i, n := range as {
+			windowTrees[i] = window{doc: d, root: n}
+		}
+		for _, tc := range []struct {
+			forest *Forest
+			trees  []window
+		}{{shipped, shippedTrees}, {windows, windowTrees}} {
+			want := treeDP(t, tc.forest, tc.trees, []*tpq.Pattern{p})
+			got, err := pl.Exec(ctx, tc.forest, ExecOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := pl.Exec(ctx, forest, ExecOptions{Backend: StructJoin})
-			if err != nil {
-				t.Fatal(err)
+			shared := tc.forest.Shared()
+			if len(got.Matches) != len(want) {
+				t.Fatalf("%s over %s (shared %v): structjoin %d answers, treedp %d", p, d, shared, len(got.Matches), len(want))
 			}
-			if len(got.Matches) != len(want.Matches) {
-				t.Fatalf("%s over %s (shared %v): structjoin %d answers, treedp %d", p, d, forest.Shared(), len(got.Matches), len(want.Matches))
-			}
-			for i := range want.Matches {
-				if got.Matches[i] != want.Matches[i] {
-					t.Fatalf("%s over %s (shared %v): answer %d is %v, treedp %v", p, d, forest.Shared(), i, got.Matches[i], want.Matches[i])
+			for i := range want {
+				if got.Matches[i] != want[i] {
+					t.Fatalf("%s over %s (shared %v): answer %d is %v, treedp %v", p, d, shared, i, got.Matches[i], want[i])
 				}
 			}
 		}

@@ -10,21 +10,21 @@
 // structural-join literature the paper cites (Al-Khalifa et al.,
 // Bruno et al., and the tree-pattern survey):
 //
-//   - compile: each compensation query is normalized (root pinned, so
-//     all backends agree on the pinned-root semantics of EvaluateAt),
-//     deduplicated by canonical form, and lowered to a structural-join
-//     program over preorder positions. Plans are pure functions of the
-//     CR union, so the engine caches them by Key.
+//   - compile: each compensation query is normalized (root pinned, the
+//     semantics of tpq's EvaluateAt), deduplicated by canonical form,
+//     and lowered to a structural-join program over preorder
+//     positions. Plans are pure functions of the CR union, so the
+//     engine caches them by Key.
 //   - index: the view forest is indexed once into inverted tag lists
 //     with (pre, end) interval labels (see Forest) — shared by every
 //     program and every request against the same materialization.
-//   - exec: the programs run against the index (structural joins by
-//     default, the per-tree dynamic program or the streaming evaluator
-//     when the heuristic prefers them) and their answers are unioned
-//     with document-order dedup.
+//   - exec: the programs run as structural joins against the index and
+//     their answers are unioned with document-order dedup. This is the
+//     one evaluation path; the per-tree dynamic program
+//     (tpq.Prepared.EvaluateAt) is kept only as the tests' oracle.
 //
-// The package deliberately depends only on tpq, xmltree and the
-// streaming evaluator: rewrite, viewstore and engine all sit above it.
+// The package deliberately depends only on tpq and xmltree among the
+// evaluation packages: rewrite, viewstore and engine all sit above it.
 package plan
 
 import (
@@ -53,12 +53,6 @@ type program struct {
 	// canon is the canonical form of the normalized pattern — the
 	// dedup and cache-key unit.
 	canon string
-	// comp is the normalized pattern: a standalone clone with a Child
-	// root axis, so the tree-DP and streaming backends evaluate the
-	// same pinned-root semantics the structural joins implement.
-	comp *tpq.Pattern
-	// prep is the compiled form for the tree-DP backend.
-	prep *tpq.Prepared
 	// ops lists the pattern nodes in preorder; ops[0] is the root.
 	ops []op
 	// path holds the preorder positions of the distinguished path,
@@ -83,10 +77,10 @@ func (p *Plan) Key() string { return p.key }
 // Programs returns the number of distinct compiled programs.
 func (p *Plan) Programs() int { return len(p.programs) }
 
-// normalize clones comp into the standalone pinned form every backend
-// evaluates: the root axis becomes Child (EvaluateAt ignores the root
-// axis; the streaming evaluator honors it, and over a standalone tree
-// a Child root is exactly "pinned to the tree root").
+// normalize clones comp into the standalone pinned form the programs
+// are lowered from: the root axis becomes Child, and over a standalone
+// tree a Child root is exactly "pinned to the tree root", the semantics
+// of EvaluateAt.
 func normalize(comp *tpq.Pattern) (*tpq.Pattern, error) {
 	if comp == nil || comp.Root == nil {
 		return nil, fmt.Errorf("plan: nil compensation pattern")
@@ -161,12 +155,7 @@ func Compile(ctx context.Context, comps []*tpq.Pattern) (*Plan, error) {
 // lower turns a normalized pattern into its structural-join program.
 func lower(canon string, pinned *tpq.Pattern) *program {
 	nodes := pinned.PreorderNodes()
-	pr := &program{
-		canon: canon,
-		comp:  pinned,
-		prep:  pinned.Prepare(),
-		ops:   make([]op, len(nodes)),
-	}
+	pr := &program{canon: canon, ops: make([]op, len(nodes))}
 	for _, n := range pinned.DistinguishedPath() {
 		i := int32(pinned.Preorder(n))
 		pr.path = append(pr.path, i)

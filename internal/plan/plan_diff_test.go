@@ -1,8 +1,8 @@
 // Differential tests: compiled-plan answers must be identical — same
 // nodes, same order — to the frozen naive evaluators in
 // internal/rewrite/answer_ref.go, over random (query, view, document)
-// instances, for every backend, in both forest layouts (shared-document
-// windows and shipped standalone trees). External test package: the
+// instances, in both forest layouts (shared-document windows and
+// shipped standalone trees). External test package: the
 // references live in rewrite, which imports plan.
 package plan_test
 
@@ -22,8 +22,6 @@ import (
 	"qav/internal/xmltree"
 )
 
-var allBackends = []plan.Backend{plan.Auto, plan.StructJoin, plan.TreeDP, plan.Stream}
-
 // sameNodes demands pointer-identical answers in identical order.
 func sameNodes(got, want []*xmltree.Node) bool {
 	if len(got) != len(want) {
@@ -38,16 +36,15 @@ func sameNodes(got, want []*xmltree.Node) bool {
 }
 
 // diffInstance checks one (CRs, document) instance in both layouts
-// against both references, under every backend and both the serial and
-// parallel exec paths. Returns the number of backend comparisons made.
-func diffInstance(t *testing.T, ctx context.Context, tag string, crs []*rewrite.ContainedRewriting, v *tpq.Pattern, d *xmltree.Document) int {
+// against both references, on both the serial and the parallel exec
+// path.
+func diffInstance(t *testing.T, ctx context.Context, tag string, crs []*rewrite.ContainedRewriting, v *tpq.Pattern, d *xmltree.Document) {
 	t.Helper()
 	comps := rewrite.Compensations(crs)
 	pl, err := plan.Compile(ctx, comps)
 	if err != nil {
 		t.Fatalf("%s: compile: %v", tag, err)
 	}
-	checks := 0
 
 	// Shared layout: windows of the source document.
 	viewNodes := rewrite.MaterializeView(v, d)
@@ -59,17 +56,14 @@ func diffInstance(t *testing.T, ctx context.Context, tag string, crs []*rewrite.
 	if err != nil {
 		t.Fatalf("%s: index subtrees: %v", tag, err)
 	}
-	for _, be := range allBackends {
-		for _, par := range []int{1, 4} {
-			res, err := pl.Exec(ctx, fShared, plan.ExecOptions{Backend: be, Parallel: par})
-			if err != nil {
-				t.Fatalf("%s: exec %v par=%d: %v", tag, be, par, err)
-			}
-			if !sameNodes(res.Nodes(), wantShared) {
-				t.Fatalf("%s: backend %v par=%d diverges on shared forest:\n got %v\nwant %v",
-					tag, be, par, paths(res.Nodes()), paths(wantShared))
-			}
-			checks++
+	for _, par := range []int{1, 4} {
+		res, err := pl.Exec(ctx, fShared, plan.ExecOptions{Parallel: par})
+		if err != nil {
+			t.Fatalf("%s: exec par=%d: %v", tag, par, err)
+		}
+		if !sameNodes(res.Nodes(), wantShared) {
+			t.Fatalf("%s: par=%d diverges on shared forest:\n got %v\nwant %v",
+				tag, par, paths(res.Nodes()), paths(wantShared))
 		}
 	}
 
@@ -83,18 +77,16 @@ func diffInstance(t *testing.T, ctx context.Context, tag string, crs []*rewrite.
 	if err != nil {
 		t.Fatalf("%s: index forest: %v", tag, err)
 	}
-	for _, be := range allBackends {
-		res, err := pl.Exec(ctx, fShipped, plan.ExecOptions{Backend: be})
+	for _, par := range []int{1, 4} {
+		res, err := pl.Exec(ctx, fShipped, plan.ExecOptions{Parallel: par})
 		if err != nil {
-			t.Fatalf("%s: exec %v shipped: %v", tag, be, err)
+			t.Fatalf("%s: exec par=%d shipped: %v", tag, par, err)
 		}
 		if !sameNodes(res.Nodes(), wantForest) {
-			t.Fatalf("%s: backend %v diverges on shipped forest:\n got %v\nwant %v",
-				tag, be, paths(res.Nodes()), paths(wantForest))
+			t.Fatalf("%s: par=%d diverges on shipped forest:\n got %v\nwant %v",
+				tag, par, paths(res.Nodes()), paths(wantForest))
 		}
-		checks++
 	}
-	return checks
 }
 
 func paths(ns []*xmltree.Node) []string {
@@ -106,7 +98,7 @@ func paths(ns []*xmltree.Node) []string {
 }
 
 // TestPlanDiffRandom is the main differential sweep: ≥500 random
-// (query, view, document) instances, every backend, both layouts.
+// (query, view, document) instances, both layouts.
 func TestPlanDiffRandom(t *testing.T) {
 	defer leaktest.Check(t)()
 	ctx := context.Background()
@@ -260,7 +252,7 @@ func TestPlanDiffNestedWindows(t *testing.T) {
 
 // TestPlanDiffMultiProgramUnions diffs synthetic CR unions of up to
 // five compensations, wildcards included, over nested windows: the
-// programs' answer lists overlap, so Auto's union must deduplicate
+// programs' answer lists overlap, so the union must deduplicate
 // across programs as well as across windows.
 func TestPlanDiffMultiProgramUnions(t *testing.T) {
 	ctx := context.Background()
@@ -301,15 +293,18 @@ func TestPlanExecConcurrentForest(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := tpq.MustParse("//Trials")
-	shared, err := plan.IndexSubtrees(ctx, d, rewrite.MaterializeView(v, d))
+	viewNodes := rewrite.MaterializeView(v, d)
+	shared, err := plan.IndexSubtrees(ctx, d, viewNodes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shipped, err := plan.IndexForest(ctx, viewstore.Materialize(v, d).Forest)
+	m := viewstore.Materialize(v, d)
+	shipped, err := plan.IndexForest(ctx, m.Forest)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var plans []*plan.Plan
+	var unions [][]*rewrite.ContainedRewriting
 	for _, comps := range [][]string{
 		{"/Trials//Trial/Patient"},
 		{"/Trials[//Status]//Trial[Status]/Patient", "/Trials//Trial[Patient]"},
@@ -317,23 +312,31 @@ func TestPlanExecConcurrentForest(t *testing.T) {
 		{"/Trials[Trial/Status][Trial/Patient]"},
 	} {
 		var ps []*tpq.Pattern
+		var crs []*rewrite.ContainedRewriting
 		for _, c := range comps {
-			ps = append(ps, tpq.MustParse(c))
+			p := tpq.MustParse(c)
+			ps = append(ps, p)
+			crs = append(crs, &rewrite.ContainedRewriting{Compensation: p})
 		}
 		pl, err := plan.Compile(ctx, ps)
 		if err != nil {
 			t.Fatal(err)
 		}
 		plans = append(plans, pl)
+		unions = append(unions, crs)
 	}
 	for _, f := range []*plan.Forest{shared, shipped} {
 		want := make([][]*xmltree.Node, len(plans))
-		for i, pl := range plans {
-			res, err := pl.Exec(ctx, f, plan.ExecOptions{Backend: plan.TreeDP})
+		for i, crs := range unions {
+			var err error
+			if f == shared {
+				want[i], err = rewrite.NaiveAnswerMaterialized(ctx, crs, d, viewNodes)
+			} else {
+				want[i], err = rewrite.NaiveAnswerForest(ctx, crs, m.Forest)
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			want[i] = res.Nodes()
 		}
 		var wg sync.WaitGroup
 		errs := make(chan string, 8)

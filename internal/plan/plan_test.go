@@ -87,24 +87,6 @@ func TestCompileRejectsNil(t *testing.T) {
 	}
 }
 
-func TestParseBackend(t *testing.T) {
-	for _, name := range []string{"auto", "structjoin", "treedp", "stream"} {
-		b, err := ParseBackend(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b.String() != name {
-			t.Fatalf("round trip %q -> %v", name, b)
-		}
-	}
-	if _, err := ParseBackend("quantum"); err == nil {
-		t.Fatal("ParseBackend accepted an unknown name")
-	}
-	if Backend(99).String() != "unknown" {
-		t.Fatalf("out-of-range backend String = %q", Backend(99).String())
-	}
-}
-
 func TestForestStats(t *testing.T) {
 	ctx := context.Background()
 	forest := []*xmltree.Document{
@@ -153,37 +135,17 @@ func TestIndexSubtreesNestedWindows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, be := range []Backend{StructJoin, TreeDP, Stream, Auto} {
-		res, err := pl.Exec(ctx, f, ExecOptions{Backend: be})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes := res.Nodes()
-		if len(nodes) != 1 || nodes[0].Tag != "b" {
-			t.Fatalf("backend %v: answers %v, want the single b", be, nodes)
-		}
+	res, err := pl.Exec(ctx, f, ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nodes := res.Nodes(); len(nodes) != 1 || nodes[0].Tag != "b" {
+		t.Fatalf("answers %v, want the single b", nodes)
 	}
 }
 
-func TestBackendsRecorded(t *testing.T) {
-	ctx := context.Background()
-	f, err := IndexDocument(ctx, mustDoc(t, "<a><b/><c/></a>"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl, err := Compile(ctx, []*tpq.Pattern{tpq.MustParse("/a/b"), tpq.MustParse("/a/c")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := pl.Exec(ctx, f, ExecOptions{Backend: TreeDP, Parallel: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Backends) != 2 || res.Backends[0] != TreeDP || res.Backends[1] != TreeDP {
-		t.Fatalf("Backends = %v, want [treedp treedp]", res.Backends)
-	}
-}
-
+// TestWildcardAllBackendsAgree checks a wildcard compensation, which
+// joins over every position, against the per-tree dynamic program.
 func TestWildcardAllBackendsAgree(t *testing.T) {
 	ctx := context.Background()
 	d := mustDoc(t, "<a><b><c/></b><d><c/><e/></d></a>")
@@ -191,32 +153,21 @@ func TestWildcardAllBackendsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := Compile(ctx, []*tpq.Pattern{tpq.MustParse("/a/*/c")})
+	comps := []*tpq.Pattern{tpq.MustParse("/a/*/c")}
+	pl, err := Compile(ctx, comps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want []*xmltree.Node
-	for _, be := range []Backend{TreeDP, StructJoin, Stream, Auto} {
-		res, err := pl.Exec(ctx, f, ExecOptions{Backend: be})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := res.Nodes()
-		if be == TreeDP {
-			want = got
-			if len(want) != 2 {
-				t.Fatalf("wildcard answers = %d, want 2", len(want))
-			}
-			continue
-		}
-		if len(got) != len(want) {
-			t.Fatalf("backend %v: %d answers, TreeDP found %d", be, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("backend %v diverges at %d", be, i)
-			}
-		}
+	want := treeDP(t, f, []window{{doc: d, root: d.Root}}, comps)
+	if len(want) != 2 {
+		t.Fatalf("wildcard answers = %d, want 2", len(want))
+	}
+	res, err := pl.Exec(ctx, f, ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(res.Matches, want) {
+		t.Fatalf("structural joins %v, tree DP %v", res.Matches, want)
 	}
 }
 

@@ -25,25 +25,6 @@ func Compensations(crs []*ContainedRewriting) []*tpq.Pattern {
 	return out
 }
 
-// ApplyCompensation runs a compensation query E over a materialized
-// view forest: E's root is pinned to each view node in turn and the
-// answers are unioned. The document provides the node storage backing
-// the forest (the subtrees of the view nodes). The context is polled
-// once per view node, so answering over a large materialization stops
-// promptly when the caller cancels.
-func ApplyCompensation(ctx context.Context, e *tpq.Pattern, d *xmltree.Document, viewNodes []*xmltree.Node) ([]*xmltree.Node, error) {
-	seen := make(map[*xmltree.Node]bool)
-	for _, vn := range viewNodes {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		for _, n := range e.EvaluateAt(d, vn) {
-			seen[n] = true
-		}
-	}
-	return sortedByIndex(seen), nil
-}
-
 // AnswerUsingView answers a query through its contained rewritings:
 // the view is materialized once and each CR's compensation query is
 // applied to the view forest (E ∘ V evaluated as the paper prescribes,

@@ -23,7 +23,7 @@ import (
 //	viewTrees          int, omitempty: stored-view mode
 //	answers            [{path, text (omitempty)}]
 //	directAnswerCount  int, omitempty: direct mode
-//	plan               {programs, backends (omitempty)}, omitempty
+//	plan               {programs}, omitempty
 //	partial            bool, omitempty
 //	partialReason      string, omitempty
 
@@ -72,17 +72,6 @@ func appendAnswer(b []byte, ans *engine.Answer) []byte {
 	if ans.Plan != nil {
 		b = append(b, `,"plan":{"programs":`...)
 		b = strconv.AppendInt(b, int64(ans.Plan.Programs()), 10)
-		if ans.Exec != nil && len(ans.Exec.Backends) > 0 {
-			for i, be := range ans.Exec.Backends {
-				if i == 0 {
-					b = append(b, `,"backends":[`...)
-				} else {
-					b = append(b, ',')
-				}
-				b = appendString(b, be.String())
-			}
-			b = append(b, ']')
-		}
 		b = append(b, '}')
 	}
 	if ans.Result.Partial {

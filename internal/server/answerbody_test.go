@@ -28,8 +28,7 @@ type answerJSON struct {
 }
 
 type planJSON struct {
-	Programs int      `json:"programs"`
-	Backends []string `json:"backends,omitempty"`
+	Programs int `json:"programs"`
 }
 
 type answerResponse struct {
@@ -55,11 +54,6 @@ func oracleAnswerBody(t *testing.T, ans *engine.Answer) []byte {
 	}
 	if ans.Plan != nil {
 		resp.Plan = &planJSON{Programs: ans.Plan.Programs()}
-		if ans.Exec != nil {
-			for _, b := range ans.Exec.Backends {
-				resp.Plan.Backends = append(resp.Plan.Backends, b.String())
-			}
-		}
 	}
 	for _, n := range ans.Answers {
 		resp.Answers = append(resp.Answers, answerJSON{Path: n.Path(), Text: n.Text})
@@ -132,11 +126,9 @@ func TestAnswerBodyMatchesOracle(t *testing.T) {
 		name := "v" + string(rune('0'+i))
 		eng.RegisterView(name, viewstore.Materialize(tpq.MustParse("//Trials"), d))
 		for _, qv := range queries {
-			for _, be := range []string{"", "treedp", "stream"} {
-				direct := answer(engine.Text{Query: qv.q, View: qv.v, Document: xml, Backend: be})
-				checkAnswerBody(t, "direct "+qv.q, direct)
-				checkAnswerBody(t, "partial "+qv.q, partialOf(direct, rewrite.PartialDeadline))
-			}
+			direct := answer(engine.Text{Query: qv.q, View: qv.v, Document: xml})
+			checkAnswerBody(t, "direct "+qv.q, direct)
+			checkAnswerBody(t, "partial "+qv.q, partialOf(direct, rewrite.PartialDeadline))
 			if qv.v == "//Trials" {
 				stored := answer(engine.Text{Query: qv.q, ViewName: name})
 				checkAnswerBody(t, "stored "+qv.q, stored)
@@ -193,7 +185,6 @@ func TestAnswerBodyHostileStrings(t *testing.T) {
 			Direct:    answers[:i%3],
 			Trees:     i % 2,
 			Plan:      pl,
-			Exec:      &plan.ExecResult{Backends: []plan.Backend{plan.StructJoin, plan.Backend(i)}},
 		}
 		checkAnswerBody(t, "hostile "+s, ans)
 	}

@@ -4,8 +4,8 @@
 //
 //	POST /v1/rewrite        {query, view, schema?, recursive?}
 //	POST /v1/rewrite/batch  {items: [{query, view, schema?, recursive?}, ...]}
-//	POST /v1/answer   {query, view, document, schema?, backend?}
-//	POST /v1/answer   {query, viewName, backend?}   (stored-view mode)
+//	POST /v1/answer   {query, view, document, schema?}
+//	POST /v1/answer   {query, viewName}   (stored-view mode)
 //	POST /v1/contain  {p, q, schema?}
 //	POST /v1/views    {name, view, document}
 //	GET  /v1/views
@@ -18,9 +18,8 @@
 // /v1/answer runs the compiled answer-plan pipeline (see
 // internal/plan): the MCR's compensations are compiled once per
 // canonical CR union (cached), the view forest is indexed, and the
-// plan executes with the structural joins ("auto"), or with a forced
-// per-tree DP or streaming backend. The answer body is written in one
-// pass from the matched nodes (see appendAnswer). In
+// plan executes as structural joins over it. The answer body is
+// written in one pass from the matched nodes (see appendAnswer). In
 // stored-view mode the document never travels: the query is answered
 // from the forest a source shipped to POST /v1/views.
 //
@@ -401,9 +400,6 @@ type answerRequest struct {
 	// forest registered under this name (POST /v1/views) and View,
 	// Document and Schema must be absent.
 	ViewName string `json:"viewName,omitempty"`
-	// Backend forces the plan execution backend ("structjoin", "treedp",
-	// "stream"); empty or "auto" runs the structural joins.
-	Backend string `json:"backend,omitempty"`
 }
 
 func (s *Service) handleAnswer(w http.ResponseWriter, r *http.Request) {
@@ -419,7 +415,7 @@ func (s *Service) handleAnswer(w http.ResponseWriter, r *http.Request) {
 	}
 	parsed, err := s.eng.Parse(engine.OpAnswer, engine.Text{
 		Query: req.Query, View: req.View, Document: req.Document, Schema: req.Schema,
-		ViewName: req.ViewName, Backend: req.Backend,
+		ViewName: req.ViewName,
 	})
 	if err != nil {
 		httpError(w, statusFor(err), err)

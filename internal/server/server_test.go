@@ -608,37 +608,20 @@ func TestRegisterAndAnswerStoredView(t *testing.T) {
 		t.Errorf("viewTrees = %v", out["viewTrees"])
 	}
 	pl, ok := out["plan"].(map[string]any)
-	if !ok || pl["programs"].(float64) < 1 {
-		t.Fatalf("plan = %v", out["plan"])
+	if !ok || len(pl) != 1 || pl["programs"].(float64) < 1 {
+		t.Fatalf("plan = %v, want only a program count", out["plan"])
 	}
-	if _, ok := pl["backends"].([]any); !ok {
-		t.Fatalf("plan backends missing: %v", pl)
+	// There is one execution path, so a request naming a backend is an
+	// unknown field and the strict decoder refuses it.
+	rec, _ = post(t, h, "/v1/answer", `{"query":"//Trials//Trial/Patient","viewName":"src1","backend":"treedp"}`)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("backend field: status %d, want 400", rec.Code)
 	}
 
 	// Unknown stored view is a semantic rejection, not a crash.
 	rec, _ = post(t, h, "/v1/answer", `{"query":"//a","viewName":"nope"}`)
 	if rec.Code != http.StatusUnprocessableEntity {
 		t.Fatalf("unknown view: status %d", rec.Code)
-	}
-}
-
-func TestAnswerBackendField(t *testing.T) {
-	h := New()
-	doc := `<a><b><c/></b></a>`
-	for _, be := range []string{"structjoin", "treedp", "stream", "auto"} {
-		rec, out := post(t, h, "/v1/answer",
-			`{"query":"//a//c","view":"//a//b","document":"`+doc+`","backend":"`+be+`"}`)
-		if rec.Code != http.StatusOK {
-			t.Fatalf("backend %s: status %d: %s", be, rec.Code, rec.Body.String())
-		}
-		if len(out["answers"].([]any)) != 1 {
-			t.Fatalf("backend %s: answers = %v", be, out["answers"])
-		}
-	}
-	rec, _ := post(t, h, "/v1/answer",
-		`{"query":"//a//c","view":"//a//b","document":"`+doc+`","backend":"warp"}`)
-	if rec.Code != http.StatusUnprocessableEntity {
-		t.Fatalf("bad backend: status %d", rec.Code)
 	}
 }
 

@@ -20,7 +20,6 @@ import (
 	"strings"
 
 	"qav/internal/tpq"
-	"qav/internal/xmltree"
 )
 
 // Answer identifies one answer element of the streamed document.
@@ -81,51 +80,6 @@ func Evaluate(ctx context.Context, r io.Reader, p *tpq.Pattern) ([]Answer, error
 	}
 	if !ev.sawRoot {
 		return nil, fmt.Errorf("stream: empty document")
-	}
-	sort.Slice(ev.answers, func(i, j int) bool { return ev.answers[i].Index < ev.answers[j].Index })
-	return ev.answers, nil
-}
-
-// EvaluateNode runs the pattern over the subtree rooted at n of an
-// in-memory document by replaying its open/text/close events through
-// the same evaluator Evaluate drives from a byte stream — no
-// serialization round trip. It is the bounded-memory backend of the
-// plan layer: resident state is O(depth · |Q| + pending answers)
-// regardless of subtree size. Answer.Index is the preorder position
-// within the walked subtree (0 = n itself), aligning index-for-index
-// with Document.Window(n). The walk is document-scale, so the context
-// is polled every 1024 elements and a cancelled ctx aborts with its
-// error.
-func EvaluateNode(ctx context.Context, n *xmltree.Node, p *tpq.Pattern) ([]Answer, error) {
-	if n == nil {
-		return nil, fmt.Errorf("stream: nil subtree root")
-	}
-	ev, err := newEvaluator(p)
-	if err != nil {
-		return nil, err
-	}
-	elements := 0
-	var walk func(x *xmltree.Node) error
-	walk = func(x *xmltree.Node) error {
-		if elements&1023 == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		elements++
-		ev.open(x.Tag)
-		if x.Text != "" {
-			ev.text(x.Text)
-		}
-		for _, c := range x.Children {
-			if err := walk(c); err != nil {
-				return err
-			}
-		}
-		return ev.close()
-	}
-	if err := walk(n); err != nil {
-		return nil, err
 	}
 	sort.Slice(ev.answers, func(i, j int) bool { return ev.answers[i].Index < ev.answers[j].Index })
 	return ev.answers, nil

@@ -9,7 +9,7 @@ func FuzzParse(f *testing.F) {
 	for _, seed := range []string{
 		"//a", "/a/b", "//Trials[//Status]//Trial", "//a//b[c][//b/d]",
 		"/a[b[//c][d]]/e", "//a[", "a", "//", "/a[]/b", "//a[b]c",
-		"/a//b[c/d][e]//f",
+		"/a//b[c/d][e]//f", "//a[//b[//d][//a]//b/a//b]//c",
 	} {
 		f.Add(seed)
 	}
@@ -28,6 +28,9 @@ func FuzzParse(f *testing.F) {
 		}
 		if !p.StructuralEqual(p2) {
 			t.Fatalf("round trip changed %q -> %q", expr, s)
+		}
+		if s2 := p2.String(); s2 != s {
+			t.Fatalf("printing is not a fixed point: %q -> %q -> %q", expr, s, s2)
 		}
 		// Containment on self must hold, and the canonical document must
 		// match.

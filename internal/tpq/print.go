@@ -5,7 +5,8 @@ import "strings"
 // String renders the pattern as an XPath expression in XP{/,//,[]}.
 // The main path is the distinguished path; all other subtrees are
 // printed as predicates. Parse(p.String()) reproduces p up to sibling
-// order.
+// order, and its String is p.String() again: the printer writes
+// siblings in the order Parse appends them.
 func (p *Pattern) String() string {
 	if p.Root == nil {
 		return ""
@@ -46,12 +47,15 @@ func writeRel(b *strings.Builder, n *Node, first bool) {
 	if len(n.Children) == 0 {
 		return
 	}
-	// Print the first child inline to keep paths like //b/d compact;
-	// remaining children become nested predicates.
-	for _, c := range n.Children[1:] {
+	// Print the last child inline to keep paths like //b/d compact; the
+	// others become nested predicates. Parse appends the inline
+	// continuation after the predicates, so the order survives a round
+	// trip.
+	last := len(n.Children) - 1
+	for _, c := range n.Children[:last] {
 		b.WriteByte('[')
 		writeRel(b, c, true)
 		b.WriteByte(']')
 	}
-	writeRel(b, n.Children[0], false)
+	writeRel(b, n.Children[last], false)
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"qav"
-	"qav/internal/plan"
 )
 
 const trialsXML = `<PharmaLab>
@@ -176,7 +175,7 @@ func TestPublicAPIShipAndMediate(t *testing.T) {
 }
 
 // Structural-join (indexed) evaluation is reached through an Engine
-// answer that forces the StructJoin plan backend.
+// answer, whose plan always runs as structural joins.
 func TestPublicAPIIndex(t *testing.T) {
 	d, err := qav.ParseDocumentString(trialsXML)
 	if err != nil {
@@ -184,21 +183,15 @@ func TestPublicAPIIndex(t *testing.T) {
 	}
 	e := qav.NewEngine(qav.EngineConfig{})
 	ans, err := e.Answer(context.Background(), qav.EngineRequest{
-		Query:       qav.MustParseQuery("//Trials//Trial"),
-		View:        qav.MustParseQuery("//Trials"),
-		Document:    d,
-		PlanBackend: plan.StructJoin,
+		Query:    qav.MustParseQuery("//Trials//Trial"),
+		View:     qav.MustParseQuery("//Trials"),
+		Document: d,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ans.Answers) != 3 {
 		t.Fatalf("indexed evaluation found %d, want 3", len(ans.Answers))
-	}
-	for _, b := range ans.Exec.Backends {
-		if b != plan.StructJoin {
-			t.Errorf("program ran with backend %v, want %v", b, plan.StructJoin)
-		}
 	}
 	if len(ans.Direct) != len(ans.Answers) {
 		t.Fatalf("direct evaluation found %d, indexed %d", len(ans.Direct), len(ans.Answers))
