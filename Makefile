@@ -66,6 +66,7 @@ fuzz:
 	$(GO) test ./internal/rewrite -run '^$$' -fuzz '^FuzzRewriteRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/rewrite -run '^$$' -fuzz '^FuzzMCRMatchesReference$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/plan -run '^$$' -fuzz '^FuzzJoinsMatchTreeDP$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzAnswerBody$$' -fuzztime $(FUZZTIME)
 
 clean:
 	rm -rf bin

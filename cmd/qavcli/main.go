@@ -205,8 +205,9 @@ func cmdAnswer(ctx context.Context, eng *engine.Engine, args []string) error {
 	}
 	fmt.Printf("materialized view: %d nodes\n", len(ans.ViewNodes))
 	fmt.Printf("plan: %d program(s)\n", ans.Plan.Programs())
-	fmt.Printf("answers via view (%d):\n", len(ans.Answers))
-	for _, n := range ans.Answers {
+	answers := ans.Exec.Nodes()
+	fmt.Printf("answers via view (%d):\n", len(answers))
+	for _, n := range answers {
 		printAnswer(n)
 	}
 	fmt.Printf("direct evaluation of the query finds %d answers\n", len(ans.Direct))
@@ -429,8 +430,9 @@ func cmdMediate(ctx context.Context, eng *engine.Engine, args []string) error {
 	}
 	fmt.Println("rewriting:", sa.Result.Union)
 	fmt.Printf("plan: %d program(s)\n", sa.Plan.Programs())
-	fmt.Printf("answers (%d):\n", len(sa.Answers))
-	for _, n := range sa.Answers {
+	answers := sa.Exec.Nodes()
+	fmt.Printf("answers (%d):\n", len(answers))
+	for _, n := range answers {
 		printAnswer(n)
 	}
 	return nil

@@ -575,8 +575,10 @@ func (e *Engine) RewriteBatch(ctx context.Context, reqs []Text) []BatchOutcome {
 // rewriting used, the answers obtained by executing the compiled answer
 // plan, and the plan.
 type Answer struct {
-	Result  *rewrite.Result
-	Answers []*xmltree.Node
+	Result *rewrite.Result
+	// Exec holds the answers as positions of the forest the plan ran
+	// over; Exec.Nodes resolves them to nodes.
+	Exec *plan.ExecResult
 	// ViewNodes (materialized view nodes) and Direct (the query
 	// evaluated on the document, for comparison) are set by a direct
 	// answer over a document.
@@ -684,7 +686,7 @@ func (e *Engine) Answer(ctx context.Context, req Request) (*Answer, error) {
 	if err != nil {
 		return nil, err
 	}
-	ans.Plan, ans.Answers = pl, exec.Nodes()
+	ans.Plan, ans.Exec = pl, exec
 	if stored == nil {
 		ans.Direct = req.Query.Evaluate(req.Document)
 	}

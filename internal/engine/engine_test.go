@@ -136,8 +136,8 @@ func TestAnswerExpr(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ans.Answers) != 1 || ans.Answers[0].Text != "John" {
-		t.Errorf("answers = %v", ans.Answers)
+	if nodes := ans.Exec.Nodes(); len(nodes) != 1 || nodes[0].Text != "John" {
+		t.Errorf("answers = %v", nodes)
 	}
 	if len(ans.ViewNodes) != 2 || len(ans.Direct) != 2 {
 		t.Errorf("viewNodes = %d, direct = %d", len(ans.ViewNodes), len(ans.Direct))
@@ -159,8 +159,8 @@ func TestAnswerStored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ans.Answers) != 1 || ans.Answers[0].Text != "Ann" {
-		t.Errorf("answers = %v", ans.Answers)
+	if nodes := ans.Exec.Nodes(); len(nodes) != 1 || nodes[0].Text != "Ann" {
+		t.Errorf("answers = %v", nodes)
 	}
 	if _, err := e.Answer(context.Background(), Request{Query: tpq.MustParse("//x"), ViewName: "nope"}); !errors.Is(err, ErrUnknownView) {
 		t.Errorf("err = %v, want ErrUnknownView", err)
@@ -415,8 +415,8 @@ func TestEngineConcurrentMixedUse(t *testing.T) {
 					ans, err := answerText(e, Text{Query: "//a/b", View: "//a", Document: doc})
 					if err != nil {
 						t.Error(err)
-					} else if len(ans.Answers) != 1 {
-						t.Errorf("answers = %d", len(ans.Answers))
+					} else if len(ans.Exec.Matches) != 1 {
+						t.Errorf("answers = %d", len(ans.Exec.Matches))
 					}
 				}
 				e.Stats()
@@ -533,8 +533,8 @@ func TestAnswerStoredView(t *testing.T) {
 		if err != nil {
 			t.Fatalf("run %d: %v", run, err)
 		}
-		if len(sa.Answers) != 2 || sa.Answers[0].Text != "Ann" || sa.Answers[1].Text != "Bob" {
-			t.Fatalf("run %d: answers = %v", run, sa.Answers)
+		if nodes := sa.Exec.Nodes(); len(nodes) != 2 || nodes[0].Text != "Ann" || nodes[1].Text != "Bob" {
+			t.Fatalf("run %d: answers = %v", run, nodes)
 		}
 		if sa.Trees != 2 || sa.Plan == nil {
 			t.Fatalf("run %d: trees=%d plan=%v", run, sa.Trees, sa.Plan)
@@ -568,8 +568,8 @@ func TestAnswerStoredExprBackendValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("stored answer read the view operand: %v", err)
 	}
-	if len(sa.Answers) != 1 || sa.Answers[0].Tag != "b" {
-		t.Fatalf("answers = %v, want the single b", sa.Answers)
+	if nodes := sa.Exec.Nodes(); len(nodes) != 1 || nodes[0].Tag != "b" {
+		t.Fatalf("answers = %v, want the single b", nodes)
 	}
 }
 

@@ -25,32 +25,25 @@ type ExecOptions struct {
 	Parallel int
 }
 
-// Match is one answer: the node and the forest tree it was found in.
-// For a shared-document forest the same node can match under several
-// windows; Exec reports it once, under the first window in tree order.
-type Match struct {
-	Tree int
-	Node *xmltree.Node
-}
-
 // ExecResult is the outcome of one plan execution.
 type ExecResult struct {
-	// Matches holds the deduplicated answer union in document order:
-	// global preorder for a shared-document forest, (tree, preorder)
-	// for a shipped forest.
-	Matches []Match
+	// Matches holds the deduplicated answer union as positions of
+	// Forest, in document order: global preorder for a shared-document
+	// forest, (tree, preorder) for a shipped forest. A node that
+	// matches under several windows of a shared forest is reported
+	// once, at its first window. The slice is the result's own.
+	Matches []int32
+	// Forest is the forest the positions index; Forest.Node and
+	// Forest.PathID read an answer's node and path.
+	Forest *Forest
 }
 
-// Nodes flattens the matches to their nodes, preserving order.
+// Nodes resolves the matches to their nodes, preserving order.
 func (r *ExecResult) Nodes() []*xmltree.Node {
-	if r == nil || len(r.Matches) == 0 {
+	if r == nil {
 		return nil
 	}
-	out := make([]*xmltree.Node, len(r.Matches))
-	for i, m := range r.Matches {
-		out[i] = m.Node
-	}
-	return out
+	return r.Forest.resolve(r.Matches)
 }
 
 // Exec runs every program of the plan against the forest and returns
@@ -108,7 +101,7 @@ func (p *Plan) Exec(ctx context.Context, f *Forest, opts ExecOptions) (*ExecResu
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	res := &ExecResult{Matches: f.matches(f.union(per))}
+	res := &ExecResult{Matches: f.union(per), Forest: f}
 	for _, sc := range scratches {
 		if sc != nil {
 			f.putScratch(sc)
@@ -247,9 +240,9 @@ func EvaluateIndexed(ctx context.Context, f *Forest, p *tpq.Pattern) ([]*xmltree
 	if err != nil {
 		return nil, err
 	}
-	res := &ExecResult{Matches: f.matches(f.union([][]int32{pos}))}
+	out := f.resolve(f.union([][]int32{pos}))
 	f.putScratch(sc)
-	return res.Nodes(), nil
+	return out, nil
 }
 
 // subset narrows src into dst, the arena region src's pattern node
@@ -625,8 +618,9 @@ func (f *Forest) downJoinAs(kind downKind, bits []uint64, upper, lower []int32, 
 }
 
 // union merges the per-program answer positions with document-order
-// dedup. In a shipped forest a position is a node, so the union is the
-// ascending distinct positions — a single program's list as is. In a
+// dedup into a new slice, never one that aliases a program's scratch.
+// In a shipped forest a position is a node, so the union is the
+// ascending distinct positions — a single program's list copied. In a
 // shared forest one node can hold a position in several windows; the
 // union orders by global preorder and keeps each node once, at its
 // first window.
@@ -645,7 +639,7 @@ func (f *Forest) union(per [][]int32) []int32 {
 	}
 	if !f.shared {
 		if lists == 1 {
-			return only
+			return slices.Clone(only)
 		}
 		all := make([]int32, 0, total)
 		for _, ps := range per {
@@ -669,18 +663,6 @@ func (f *Forest) union(per [][]int32) []int32 {
 		if i == 0 || k>>32 != keys[i-1]>>32 {
 			out = append(out, int32(uint32(k)))
 		}
-	}
-	return out
-}
-
-// matches resolves answer positions to their trees and nodes.
-func (f *Forest) matches(pos []int32) []Match {
-	if len(pos) == 0 {
-		return nil
-	}
-	out := make([]Match, len(pos))
-	for i, p := range pos {
-		out[i] = Match{Tree: int(f.tree[p]), Node: f.nodes[p]}
 	}
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"qav/internal/obs"
@@ -29,16 +30,23 @@ type window struct {
 // node's proper descendants are exactly the positions (p, end[p]].
 // The index is a set of int32 columns over positions plus sorted
 // per-tag position lists; programs compiled by Compile join those lists
-// (see Plan.Exec) and resolve positions to nodes only for their answers.
+// (see Plan.Exec) and return their answers as positions, whose nodes
+// and paths the forest resolves (Node, PathID, AppendPath).
 type Forest struct {
 	// parent is the position of a node's parent within the same
 	// window, or -1 for a window root; end is the last position of its
-	// subtree; tree is the tree the position belongs to.
+	// subtree; path is the ID of its root-to-node tag path in paths.
 	parent []int32
 	end    []int32
-	tree   []int32
+	path   []int32
 	// nodes resolves a position to its document node.
 	nodes []*xmltree.Node
+	// paths interns the root-to-node tag paths of the positions (a
+	// DataGuide over the forest). A path is stored as its parent path
+	// plus its last tag, so the table grows with the distinct paths,
+	// not with their lengths. In a shared forest a path runs from the
+	// document root, through a window root's ancestors.
+	paths []pathEntry
 	// roots holds each tree's root position, in tree order: tree i
 	// spans positions roots[i] .. roots[i+1]-1.
 	roots []int32
@@ -71,6 +79,49 @@ func (f *Forest) Size() int { return len(f.nodes) }
 
 // Cardinality returns the number of occurrences of tag in the forest.
 func (f *Forest) Cardinality(tag string) int { return len(f.byTag[tag]) }
+
+// Node returns the document node at position p.
+func (f *Forest) Node(p int32) *xmltree.Node { return f.nodes[p] }
+
+// PathID returns the interned ID of position p's root-to-node tag path:
+// two positions share an ID iff their nodes' Path strings are equal.
+func (f *Forest) PathID(p int32) int32 { return f.path[p] }
+
+// Path returns position p's root-to-node tag path, spelled as the
+// node's xmltree.Node.Path.
+func (f *Forest) Path(p int32) string { return string(f.AppendPath(nil, f.path[p])) }
+
+// AppendPath appends the path with the given ID to b, spelled as
+// xmltree.Node.Path spells it: a slash before every tag, root first.
+// It writes backwards from the last tag into the space the path needs.
+func (f *Forest) AppendPath(b []byte, id int32) []byte {
+	size := 0
+	for x := id; x >= 0; x = f.paths[x].parent {
+		size += 1 + len(f.paths[x].tag)
+	}
+	b = slices.Grow(b, size)
+	i := len(b) + size
+	b = b[:i]
+	for x := id; x >= 0; x = f.paths[x].parent {
+		i -= len(f.paths[x].tag)
+		copy(b[i:], f.paths[x].tag)
+		i--
+		b[i] = '/'
+	}
+	return b
+}
+
+// resolve maps positions to their document nodes.
+func (f *Forest) resolve(pos []int32) []*xmltree.Node {
+	if len(pos) == 0 {
+		return nil
+	}
+	out := make([]*xmltree.Node, len(pos))
+	for i, p := range pos {
+		out[i] = f.nodes[p]
+	}
+	return out
+}
 
 // Shared reports whether the forest's trees are windows of one shared
 // document (see IndexSubtrees).
@@ -119,10 +170,13 @@ func IndexDocument(ctx context.Context, d *xmltree.Document) (*Forest, error) {
 }
 
 // indexTrees sizes every column from the window lengths, fills the
-// columns and a dense tag id per position in one walk, then scatters
-// the positions into per-tag lists carved from one backing array, so
-// the index allocates a constant number of slices rather than growing
-// one list per tag.
+// columns, the interned path per position and a dense tag id per
+// position in one walk, then scatters the positions into per-tag lists
+// carved from one backing array, so the index allocates a constant
+// number of slices rather than growing one list per tag. A position's
+// path is found among its parent path's children by its tag, and the
+// path gives its tag id: the tag map is probed once per new path, not
+// once per node.
 func indexTrees(ctx context.Context, trees []window, shared bool) (*Forest, error) {
 	sp := obs.SpanFrom(ctx)
 	start := sp.Start()
@@ -137,11 +191,12 @@ func indexTrees(ctx context.Context, trees []window, shared bool) (*Forest, erro
 	f := &Forest{
 		parent: make([]int32, total),
 		end:    make([]int32, total),
-		tree:   make([]int32, total),
+		path:   make([]int32, total),
 		nodes:  make([]*xmltree.Node, 0, total),
 		roots:  make([]int32, len(trees)),
 		shared: shared,
 	}
+	in := interner{f: f, kids: make([][]pathKid, 1)}
 	ids := make(map[string]int32)
 	var tags []string
 	var counts, rootCounts []int32
@@ -153,22 +208,30 @@ func indexTrees(ctx context.Context, trees []window, shared bool) (*Forest, erro
 		base := int32(len(f.nodes))
 		f.roots[ti] = base
 		off := t.root.Index
+		above := in.above(t.root)
 		for _, n := range t.doc.Window(t.root) {
 			p := int32(len(f.nodes))
 			f.nodes = append(f.nodes, n)
-			f.tree[p] = int32(ti)
 			f.end[p] = base + int32(n.SubtreeEnd()-off)
 			f.parent[p] = -1
+			up := above
 			if p != base {
 				f.parent[p] = base + int32(n.Parent.Index-off)
+				up = f.path[f.parent[p]]
 			}
-			id, ok := ids[n.Tag]
-			if !ok {
-				id = int32(len(tags))
-				ids[n.Tag] = id
-				tags = append(tags, n.Tag)
-				counts = append(counts, 0)
-				rootCounts = append(rootCounts, 0)
+			pid := in.intern(up, n.Tag)
+			f.path[p] = pid
+			id := in.tag[pid]
+			if id < 0 {
+				var ok bool
+				if id, ok = ids[n.Tag]; !ok {
+					id = int32(len(tags))
+					ids[n.Tag] = id
+					tags = append(tags, n.Tag)
+					counts = append(counts, 0)
+					rootCounts = append(rootCounts, 0)
+				}
+				in.tag[pid] = id
 			}
 			tagID[p] = id
 			counts[id]++
@@ -178,6 +241,94 @@ func indexTrees(ctx context.Context, trees []window, shared bool) (*Forest, erro
 	f.byTag = carve(tags, counts, tagID, nil)
 	f.rootsByTag = carve(tags, rootCounts, tagID, f.roots)
 	return f, nil
+}
+
+// pathEntry is one interned path: the ID of its parent path (-1 for
+// a path of one tag) and its last tag.
+type pathEntry struct {
+	parent int32
+	tag    string
+}
+
+// kidScan is how many child paths of one path intern finds by a
+// linear scan; a path with more children looks the rest up in a map.
+const kidScan = 8
+
+// pathKid is a child path: its last tag and its ID.
+type pathKid struct {
+	tag string
+	id  int32
+}
+
+// interner assigns the forest's path IDs while it is indexed. A path's
+// children are few in most documents, so they are scanned, with no
+// hashing per node.
+type interner struct {
+	f *Forest
+	// kids[parent+1] holds the first kidScan children of each path
+	// (kids[0] those of the empty path); more holds the rest.
+	kids [][]pathKid
+	more map[pathEntry]int32
+	// tag is each path's tag id, or -1 for a path met only above a
+	// window root, which no position carries.
+	tag []int32
+	// lastParent and lastAbove remember the last window root's parent
+	// and the ID of its path: sibling windows come in a row.
+	lastParent *xmltree.Node
+	lastAbove  int32
+	chain      []*xmltree.Node
+}
+
+// intern returns the ID of the path parent/tag, adding it if new.
+func (in *interner) intern(parent int32, tag string) int32 {
+	kids := in.kids[parent+1]
+	for _, k := range kids {
+		if k.tag == tag {
+			return k.id
+		}
+	}
+	e := pathEntry{parent: parent, tag: tag}
+	if len(kids) == kidScan {
+		if id, ok := in.more[e]; ok {
+			return id
+		}
+	}
+	id := int32(len(in.f.paths))
+	in.f.paths = append(in.f.paths, e)
+	in.tag = append(in.tag, -1)
+	in.kids = append(in.kids, nil)
+	if len(kids) < kidScan {
+		in.kids[parent+1] = append(kids, pathKid{tag: tag, id: id})
+	} else {
+		if in.more == nil {
+			in.more = make(map[pathEntry]int32)
+		}
+		in.more[e] = id
+	}
+	return id
+}
+
+// above returns the ID of the path to n's parent in its document, or
+// -1 for a document root: a window root's path runs through its
+// ancestors, as xmltree.Node.Path does.
+func (in *interner) above(n *xmltree.Node) int32 {
+	if n.Parent == nil {
+		return -1
+	}
+	if n.Parent == in.lastParent {
+		return in.lastAbove
+	}
+	chain := in.chain[:0]
+	for x := n.Parent; x != nil; x = x.Parent {
+		chain = append(chain, x)
+	}
+	id := int32(-1)
+	for i := len(chain) - 1; i >= 0; i-- {
+		id = in.intern(id, chain[i].Tag)
+	}
+	in.chain = chain
+	in.lastParent, in.lastAbove = n.Parent, id
+	return id
 }
 
 // carve distributes positions into one ascending list per tag, all

@@ -14,7 +14,7 @@ import (
 // back in window order, which maps onto positions by their preorder
 // offset from the tree root; trees must be the windows f was indexed
 // from, in order.
-func treeDP(t *testing.T, f *Forest, trees []window, comps []*tpq.Pattern) []Match {
+func treeDP(t *testing.T, f *Forest, trees []window, comps []*tpq.Pattern) []int32 {
 	t.Helper()
 	per := make([][]int32, len(comps))
 	for i, c := range comps {
@@ -30,7 +30,7 @@ func treeDP(t *testing.T, f *Forest, trees []window, comps []*tpq.Pattern) []Mat
 			}
 		}
 	}
-	return f.matches(f.union(per))
+	return f.union(per)
 }
 
 // FuzzJoinsMatchTreeDP builds a document and a pattern from the fuzz
@@ -38,7 +38,8 @@ func treeDP(t *testing.T, f *Forest, trees []window, comps []*tpq.Pattern) []Mat
 // per-tree dynamic program answers, over a shipped forest and over the
 // nested windows of every a node. The documents run to recursive a
 // chains and ragged depths, so the joins' seek orders meet nested
-// intervals and parents that do not ascend.
+// intervals and parents that do not ascend. Both forests' path columns
+// must spell every position's node path.
 func FuzzJoinsMatchTreeDP(f *testing.F) {
 	f.Add([]byte{0, 0, 4, 8, 12, 1, 13, 2, 0, 6, 15, 3}, []byte{0, 4, 9, 20, 3})
 	f.Add([]byte{0, 0, 0, 0, 14, 14, 5, 2, 9, 15, 15, 1, 6}, []byte{0, 0, 16, 5, 1, 2})
@@ -70,18 +71,21 @@ func FuzzJoinsMatchTreeDP(f *testing.F) {
 			forest *Forest
 			trees  []window
 		}{{shipped, shippedTrees}, {windows, windowTrees}} {
+			checkPaths(t, tc.forest)
 			want := treeDP(t, tc.forest, tc.trees, []*tpq.Pattern{p})
 			got, err := pl.Exec(ctx, tc.forest, ExecOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			shared := tc.forest.Shared()
-			if len(got.Matches) != len(want) {
-				t.Fatalf("%s over %s (shared %v): structjoin %d answers, treedp %d", p, d, shared, len(got.Matches), len(want))
+			gotNodes, wantNodes := got.Nodes(), tc.forest.resolve(want)
+			if len(gotNodes) != len(wantNodes) {
+				t.Fatalf("%s over %s (shared %v): structjoin %d answers, treedp %d", p, d, shared, len(gotNodes), len(wantNodes))
 			}
-			for i := range want {
-				if got.Matches[i] != want[i] {
-					t.Fatalf("%s over %s (shared %v): answer %d is %v, treedp %v", p, d, shared, i, got.Matches[i], want[i])
+			for i := range wantNodes {
+				if gotNodes[i] != wantNodes[i] || got.Matches[i] != want[i] {
+					t.Fatalf("%s over %s (shared %v): answer %d is %v (position %d), treedp %v (position %d)",
+						p, d, shared, i, gotNodes[i].Path(), got.Matches[i], wantNodes[i].Path(), want[i])
 				}
 			}
 		}

@@ -108,8 +108,8 @@ func TestForestStats(t *testing.T) {
 		t.Fatalf("roots = %v, a-roots = %v, b-roots = %v", f.roots, f.rootList("a"), f.rootList("b"))
 	}
 	if !slices.Equal(f.parent, []int32{-1, 0, 0, -1, 3}) || !slices.Equal(f.end, []int32{2, 1, 2, 4, 4}) ||
-		!slices.Equal(f.tree, []int32{0, 0, 0, 1, 1}) || !slices.Equal(f.list("b"), []int32{1, 2}) {
-		t.Fatalf("parent = %v, end = %v, tree = %v, b = %v", f.parent, f.end, f.tree, f.list("b"))
+		!slices.Equal(f.path, []int32{0, 1, 1, 0, 2}) || !slices.Equal(f.list("b"), []int32{1, 2}) {
+		t.Fatalf("parent = %v, end = %v, path = %v, b = %v", f.parent, f.end, f.path, f.list("b"))
 	}
 }
 

@@ -3,17 +3,19 @@ package server
 import (
 	"encoding/json"
 	"net/http"
-	"slices"
 	"strconv"
 	"sync"
 
 	"qav/internal/engine"
-	"qav/internal/xmltree"
+	"qav/internal/plan"
 )
 
 // The /v1/answer body is written in one pass straight from the engine's
-// answer: no response struct, no reflection, and no per-answer path
-// string. The bytes are exactly what encodeJSON renders for the fields
+// answer positions: no response struct, no reflection, and no
+// per-answer path string. An answer's path comes from the forest's
+// interned path column, rendered as JSON once per distinct path and
+// copied for every later answer on it; its text comes from its node.
+// The bytes are exactly what encodeJSON renders for the fields
 // below (compact, encoding/json's HTML-safe string escaping, omitempty
 // on every field but union, programs and answers, answers null when
 // empty, one trailing newline):
@@ -51,19 +53,25 @@ func appendAnswer(b []byte, ans *engine.Answer) []byte {
 	b = appendIntField(b, "viewNodes", len(ans.ViewNodes))
 	b = appendIntField(b, "viewTrees", ans.Trees)
 	b = append(b, `,"answers":`...)
-	if len(ans.Answers) == 0 {
+	var pos []int32
+	if ans.Exec != nil {
+		pos = ans.Exec.Matches
+	}
+	if len(pos) == 0 {
 		b = append(b, "null"...)
 	} else {
-		for i, n := range ans.Answers {
+		f := ans.Exec.Forest
+		var spans pathSpans
+		for i, p := range pos {
 			if i == 0 {
 				b = append(b, `[{"path":`...)
 			} else {
 				b = append(b, `},{"path":`...)
 			}
-			b = appendPath(b, n)
-			if n.Text != "" {
+			b = spans.appendPath(b, f, f.PathID(p))
+			if text := f.Node(p).Text; text != "" {
 				b = append(b, `,"text":`...)
-				b = appendString(b, n.Text)
+				b = appendString(b, text)
 			}
 		}
 		b = append(b, "}]"...)
@@ -106,7 +114,7 @@ var plainByte = func() (t [256]bool) {
 	return t
 }()
 
-func plain(s string) bool {
+func plain[T string | []byte](s T) bool {
 	for i := 0; i < len(s); i++ {
 		if !plainByte[s[i]] {
 			return false
@@ -127,27 +135,52 @@ func appendString(b []byte, s string) []byte {
 	return append(b, q...)
 }
 
-// appendPath appends n.Path() as a JSON string, written backwards from
-// n up through its ancestors into the space their tags need.
-func appendPath(b []byte, n *xmltree.Node) []byte {
-	size := 2 // the quotes
-	for x := n; x != nil; x = x.Parent {
-		if !plain(x.Tag) {
-			return appendString(b, n.Path())
+// pathSpans remembers where each path ID's JSON string was first
+// written in one body, so that every later answer on the path copies
+// those bytes. IDs below len(low) are looked up in place; the rest, met
+// only in forests of many distinct paths, in a map made on first need.
+type pathSpans struct {
+	low  [64]span
+	high map[int32]span
+}
+
+// span is a byte range of the body; the zero span marks an ID not yet
+// written, since a JSON string is never empty.
+type span struct{ from, to int }
+
+// appendPath appends the JSON string of path id of f.
+func (ps *pathSpans) appendPath(b []byte, f *plan.Forest, id int32) []byte {
+	var sp span
+	if int(id) < len(ps.low) {
+		sp = ps.low[id]
+	} else {
+		sp = ps.high[id]
+	}
+	if sp.to != 0 {
+		return append(b, b[sp.from:sp.to]...)
+	}
+	sp.from = len(b)
+	b = appendPathString(b, f, id)
+	sp.to = len(b)
+	if int(id) < len(ps.low) {
+		ps.low[id] = sp
+	} else {
+		if ps.high == nil {
+			ps.high = make(map[int32]span)
 		}
-		size += 1 + len(x.Tag)
+		ps.high[id] = sp
 	}
-	b = slices.Grow(b, size)
-	i := len(b) + size
-	b = b[:i]
-	i--
-	b[i] = '"'
-	for x := n; x != nil; x = x.Parent {
-		i -= len(x.Tag)
-		copy(b[i:], x.Tag)
-		i--
-		b[i] = '/'
-	}
-	b[i-1] = '"'
 	return b
+}
+
+// appendPathString renders path id of f as a JSON string: the path is
+// written in place and quoted, unless it needs escaping, in which case
+// json.Marshal rewrites it.
+func appendPathString(b []byte, f *plan.Forest, id int32) []byte {
+	start := len(b)
+	b = f.AppendPath(append(b, '"'), id)
+	if plain(b[start+1:]) {
+		return append(b, '"')
+	}
+	return appendString(b[:start], string(b[start+1:]))
 }

@@ -3,9 +3,12 @@ package server
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -55,7 +58,7 @@ func oracleAnswerBody(t *testing.T, ans *engine.Answer) []byte {
 	if ans.Plan != nil {
 		resp.Plan = &planJSON{Programs: ans.Plan.Programs()}
 	}
-	for _, n := range ans.Answers {
+	for _, n := range ans.Exec.Nodes() {
 		resp.Answers = append(resp.Answers, answerJSON{Path: n.Path(), Text: n.Text})
 	}
 	body, err := encodeJSON(resp)
@@ -138,7 +141,23 @@ func TestAnswerBodyMatchesOracle(t *testing.T) {
 	}
 	// The bare minimum: no answers, no plan, no optional field.
 	checkAnswerBody(t, "empty", &engine.Answer{Result: &rewrite.Result{Union: tpq.NewUnion(tpq.MustParse("//a"))}})
-	checkAnswerBody(t, "empty union", &engine.Answer{Result: &rewrite.Result{}, Answers: []*xmltree.Node{}})
+	checkAnswerBody(t, "empty union", &engine.Answer{Result: &rewrite.Result{}, Exec: &plan.ExecResult{}})
+}
+
+// execOf returns an exec result holding nodes, in order, as positions
+// of their document indexed whole, where a node's position is its
+// preorder index.
+func execOf(t *testing.T, d *xmltree.Document, nodes []*xmltree.Node) *plan.ExecResult {
+	t.Helper()
+	f, err := plan.IndexDocument(context.Background(), d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pos := make([]int32, len(nodes))
+	for i, n := range nodes {
+		pos[i] = int32(n.Index)
+	}
+	return &plan.ExecResult{Matches: pos, Forest: f}
 }
 
 // hostile are strings encoding/json must escape or rewrite: HTML
@@ -166,7 +185,7 @@ func TestAnswerBodyHostileStrings(t *testing.T) {
 			cur = n
 		}
 	}
-	xmltree.NewDocument(root)
+	d := xmltree.NewDocument(root)
 	var union []*tpq.Pattern
 	for _, s := range hostile {
 		p := tpq.New(tpq.Descendant, s)
@@ -180,7 +199,7 @@ func TestAnswerBodyHostileStrings(t *testing.T) {
 	for i, s := range hostile {
 		ans := &engine.Answer{
 			Result:    &rewrite.Result{Union: tpq.NewUnion(union[:i+1]...), Partial: true, PartialReason: rewrite.PartialReason(s)},
-			Answers:   answers[:2*i+2],
+			Exec:      execOf(t, d, answers[:2*i+2]),
 			ViewNodes: answers[:i],
 			Direct:    answers[:i%3],
 			Trees:     i % 2,
@@ -199,8 +218,10 @@ func TestAnswerBodyHostileStrings(t *testing.T) {
 		}
 		mixed = append(mixed, g.AddChild("z").AddChild("x"))
 	}
-	xmltree.NewDocument(top)
-	checkAnswerBody(t, "hostile siblings", &engine.Answer{Result: &rewrite.Result{Union: tpq.NewUnion(tpq.MustParse("//x"))}, Answers: mixed})
+	checkAnswerBody(t, "hostile siblings", &engine.Answer{
+		Result: &rewrite.Result{Union: tpq.NewUnion(tpq.MustParse("//x"))},
+		Exec:   execOf(t, xmltree.NewDocument(top), mixed),
+	})
 }
 
 // TestAnswerEndpointBody pins the handler to the encoder: the served
@@ -229,4 +250,130 @@ func TestAnswerEndpointBody(t *testing.T) {
 	if want := oracleAnswerBody(t, ans); !bytes.Equal(rec.Body.Bytes(), want) {
 		t.Fatalf("served body\n%s\nwant\n%s", rec.Body.Bytes(), want)
 	}
+}
+
+// TestAnswerBodyManyPaths answers over more distinct paths than the
+// encoder's fixed path table holds, each path twice and out of order,
+// so paths past the table are rendered once and then copied too.
+func TestAnswerBodyManyPaths(t *testing.T) {
+	root := xmltree.Build("root")
+	var leaves []*xmltree.Node
+	for i := 0; i < 150; i++ {
+		tag := fmt.Sprintf("t%d", i)
+		if i%7 == 0 {
+			tag = hostile[i%len(hostile)] + tag
+		}
+		leaf := root.AddChild(tag).AddChild("x")
+		leaf.Text = hostile[i%len(hostile)]
+		leaves = append(leaves, leaf)
+	}
+	answers := slices.Clone(leaves)
+	for i := len(leaves) - 1; i >= 0; i -= 2 {
+		answers = append(answers, leaves[i])
+	}
+	checkAnswerBody(t, "many paths", &engine.Answer{
+		Result: &rewrite.Result{Union: tpq.NewUnion(tpq.MustParse("//x"))},
+		Exec:   execOf(t, xmltree.NewDocument(root), answers),
+	})
+}
+
+// fuzzTags are the tags of FuzzAnswerBody's documents and patterns:
+// plain ones, so that patterns match, and ones encoding/json escapes.
+// None holds a character of the pattern syntax.
+var fuzzTags = []string{"a", "b", "c", `q"t`, "<x>", "x&y", "\u2028", "\xff\xfe"}
+
+// FuzzAnswerBody builds a document with hostile tags and texts, a view
+// and a query from the fuzz bytes, answers the query directly over the
+// document and through the view stored, and demands that both bodies
+// are the reflective encoding's bytes.
+func FuzzAnswerBody(f *testing.F) {
+	f.Add([]byte{0, 1, 18, 24, 179, 228, 17, 24, 24, 0, 1, 22}, []byte{9, 34}, byte(0))
+	f.Add([]byte{3, 20, 5, 23, 24, 24, 3, 36, 5, 229}, []byte{36, 5}, byte(3))
+	f.Add([]byte{6, 6, 16, 24, 16, 7, 246}, []byte{8}, byte(6))
+	eng := engine.New(engine.Config{CacheSize: 64})
+	ctx := context.Background()
+	f.Fuzz(func(t *testing.T, docBytes, queryBytes []byte, viewTag byte) {
+		d := fuzzAnswerDoc(docBytes)
+		v := tpq.New(tpq.Descendant, fuzzTags[int(viewTag)%len(fuzzTags)])
+		q := fuzzAnswerQuery(v.Root.Tag, queryBytes)
+		direct, err := eng.Answer(ctx, engine.Request{Query: q, View: v, Document: d})
+		if errors.Is(err, engine.ErrNotAnswerable) {
+			return
+		}
+		if err != nil {
+			t.Fatalf("direct %s over %s: %v", q, v, err)
+		}
+		checkAnswerBody(t, "direct", direct)
+		eng.RegisterView("fuzz", viewstore.Materialize(v, d))
+		stored, err := eng.Answer(ctx, engine.Request{Query: q, ViewName: "fuzz"})
+		if err != nil {
+			t.Fatalf("stored %s over %s: %v", q, v, err)
+		}
+		checkAnswerBody(t, "stored", stored)
+	})
+}
+
+// fuzzAnswerDoc decodes a document of at most 200 nodes. Per byte, the
+// low three bits pick the tag and the next two the move: add a child
+// and descend (twice as often), add a child and stay, or climb. Every
+// third node gets a text, hostile or plain by the byte's top bits.
+func fuzzAnswerDoc(data []byte) *xmltree.Document {
+	root := &xmltree.Node{Tag: "r"}
+	cur, size := root, 1
+	for i, b := range data {
+		if size == 200 {
+			break
+		}
+		var n *xmltree.Node
+		switch b >> 3 & 3 {
+		case 0, 1:
+			n = cur.AddChild(fuzzTags[b&7])
+			cur = n
+		case 2:
+			n = cur.AddChild(fuzzTags[b&7])
+		case 3:
+			if cur.Parent != nil {
+				cur = cur.Parent
+			}
+			continue
+		}
+		size++
+		if i%3 == 0 {
+			n.Text = hostile[int(b>>5)%len(hostile)]
+		}
+	}
+	return xmltree.NewDocument(root)
+}
+
+// fuzzAnswerQuery decodes a query of at most 6 nodes under a root
+// tagged like the view's, so most queries are answerable through it.
+// Per byte the low three bits pick the tag, bit 3 the axis and bits 4–5
+// the move, as fuzzAnswerDoc's; the output is the node the walk ends
+// on.
+func fuzzAnswerQuery(rootTag string, data []byte) *tpq.Pattern {
+	p := tpq.New(tpq.Descendant, rootTag)
+	cur, size := p.Root, 1
+	for _, b := range data {
+		if size == 6 {
+			break
+		}
+		axis := tpq.Child
+		if b&8 != 0 {
+			axis = tpq.Descendant
+		}
+		switch b >> 4 & 3 {
+		case 0, 1:
+			cur = cur.AddChild(axis, fuzzTags[b&7])
+			size++
+		case 2:
+			cur.AddChild(axis, fuzzTags[b&7])
+			size++
+		case 3:
+			if cur.Parent != nil {
+				cur = cur.Parent
+			}
+		}
+	}
+	p.Output = cur
+	return p
 }

@@ -19,7 +19,8 @@
 // internal/plan): the MCR's compensations are compiled once per
 // canonical CR union (cached), the view forest is indexed, and the
 // plan executes as structural joins over it. The answer body is
-// written in one pass from the matched nodes (see appendAnswer). In
+// written in one pass from the answers' forest positions (see
+// appendAnswer). In
 // stored-view mode the document never travels: the query is answered
 // from the forest a source shipped to POST /v1/views.
 //

@@ -190,14 +190,15 @@ func TestPublicAPIIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ans.Answers) != 3 {
-		t.Fatalf("indexed evaluation found %d, want 3", len(ans.Answers))
+	answers := ans.Exec.Nodes()
+	if len(answers) != 3 {
+		t.Fatalf("indexed evaluation found %d, want 3", len(answers))
 	}
-	if len(ans.Direct) != len(ans.Answers) {
-		t.Fatalf("direct evaluation found %d, indexed %d", len(ans.Direct), len(ans.Answers))
+	if len(ans.Direct) != len(answers) {
+		t.Fatalf("direct evaluation found %d, indexed %d", len(ans.Direct), len(answers))
 	}
 	patients := 0
-	for i, n := range ans.Answers {
+	for i, n := range answers {
 		if n != ans.Direct[i] {
 			t.Errorf("answer %d is not the document's node", i)
 		}

@@ -6,8 +6,9 @@ package qav_test
 // guards its allocation count, so a hop that starts redoing per-request
 // work its memo already holds shows up in tier-1. The stored-view
 // answer of the answer_stored workload gets the same pair:
-// BenchmarkStoredAnswer and TestStoredAnswerAllocs, and
-// TestRoutedAnswerBytes guards what the router adds to that answer.
+// BenchmarkStoredAnswer and TestStoredAnswerAllocs, TestStoredAnswerBytes
+// bounds the bytes it allocates, and TestRoutedAnswerBytes guards what
+// the router adds to that answer.
 
 import (
 	"context"
@@ -353,4 +354,60 @@ func TestRoutedAnswerBytes(t *testing.T) {
 			added, size, viaRouter, viaReplica, routedAnswerMaxBytes)
 	}
 	t.Logf("a %d-byte answer: %d bytes routed, %d direct, %d added by the router", size, viaRouter, viaReplica, added)
+}
+
+// storedAnswerMaxBytes bounds the mean bytes one stored-view answer
+// allocates on the 40-group document, apart from its body, over the
+// templates. Answers leave the plan as forest positions and take their
+// paths from the forest's interned path column, so neither the engine
+// nor the encoder allocates a pointer slice per answer set any more:
+// that brought the figure from 6,814 to 3,913 bytes (3,961 under the
+// race detector), and a per-answer slice coming back breaks the bound.
+const storedAnswerMaxBytes = 5 << 10
+
+// discardWriter is a ResponseWriter that keeps only the status: the
+// body is written from the replica's pooled buffer and dropped, so a
+// request's bytes exclude the body's own.
+type discardWriter struct {
+	header http.Header
+	code   int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.header }
+func (w *discardWriter) WriteHeader(code int)        { w.code = code }
+func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+
+// TestStoredAnswerBytes serves every stored template through the
+// replica handler and bounds the mean bytes one answer allocates:
+// request decode, engine.Answer and the answer encoder. Each template's
+// figure is the least of 20 single-request samples, as in
+// TestRoutedAnswerBytes: a sync.Pool drop of the body buffer (random
+// under the race detector) or the runtime's own work only ever adds to
+// a sample, while a per-answer slice adds to every one.
+func TestStoredAnswerBytes(t *testing.T) {
+	h := bootStored(t, 40)
+	const samples = 20
+	var total uint64
+	for _, body := range storedTemplates {
+		least := uint64(math.MaxUint64)
+		for i := 0; i < samples; i++ {
+			req := httptest.NewRequest("POST", "/v1/answer", strings.NewReader(body))
+			w := &discardWriter{header: make(http.Header)}
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			h.ServeHTTP(w, req)
+			runtime.ReadMemStats(&after)
+			if w.code != http.StatusOK {
+				t.Fatalf("%s: status %d", body, w.code)
+			}
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		total += least
+	}
+	perAnswer := total / uint64(len(storedTemplates))
+	if perAnswer > storedAnswerMaxBytes {
+		t.Fatalf("one stored answer allocates %d bytes besides its body, bound %d", perAnswer, storedAnswerMaxBytes)
+	}
+	t.Logf("one stored answer: %d bytes besides its body", perAnswer)
 }
