@@ -67,6 +67,8 @@ fuzz:
 	$(GO) test ./internal/rewrite -run '^$$' -fuzz '^FuzzMCRMatchesReference$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/plan -run '^$$' -fuzz '^FuzzJoinsMatchTreeDP$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzAnswerBody$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/router -run '^$$' -fuzz '^FuzzAffinityKey$$' -fuzztime $(FUZZTIME)
 
 clean:
 	rm -rf bin

@@ -57,6 +57,7 @@ import (
 	"qav/internal/guard"
 	"qav/internal/names"
 	"qav/internal/obs"
+	"qav/internal/reqjson"
 	"qav/internal/tpq"
 )
 
@@ -765,13 +766,17 @@ func (r *Router) attempt(ctx context.Context, rep *replica, orig *http.Request, 
 	rep.attempts.Add(1)
 	defer rep.inflight.Add(-1)
 
-	u := *rep.base
-	u.Path = orig.URL.Path
-	u.RawQuery = orig.URL.RawQuery
-	req, err := http.NewRequestWithContext(ctx, orig.Method, u.String(), bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, orig.Method, "", bytes.NewReader(body))
 	if err != nil {
 		return &attemptResult{rep: rep, err: err}
 	}
+	// The replica's URL is copied into the request's (empty) one, not
+	// printed for NewRequestWithContext to parse straight back.
+	u := req.URL
+	*u = *rep.base
+	u.Path = orig.URL.Path
+	u.RawQuery = orig.URL.RawQuery
+	req.Host = u.Host
 	req.Header = orig.Header.Clone()
 	resp, err := r.cfg.Transport.RoundTrip(req)
 	elapsed := time.Since(start)
@@ -821,21 +826,8 @@ func affinityKey(path string, body []byte, canon func(string) string) string {
 	if len(body) == 0 {
 		return path
 	}
-	var probe struct {
-		Query     string `json:"query"`
-		View      string `json:"view"`
-		ViewName  string `json:"viewName"`
-		Schema    string `json:"schema"`
-		Recursive bool   `json:"recursive"`
-		P         string `json:"p"`
-		Q         string `json:"q"`
-		Items     []struct {
-			Query  string `json:"query"`
-			View   string `json:"view"`
-			Schema string `json:"schema"`
-		} `json:"items"`
-	}
-	if err := json.Unmarshal(body, &probe); err != nil {
+	var probe keyProbe
+	if err := reqjson.Lenient(body, probe.member); err != nil {
 		return string(body)
 	}
 	// A batch routes on its first item: batches assembled per canonical
@@ -859,6 +851,54 @@ func affinityKey(path string, body []byte, canon func(string) string) string {
 		key += "\x00r"
 	}
 	return key
+}
+
+// keyProbe is what affinityKey reads of a body: the members of every
+// request shape that name its patterns. Any other member is skipped.
+type keyProbe struct {
+	Query, View, ViewName, Schema, P, Q string
+	Recursive                           bool
+	Items                               []keyItem
+}
+
+type keyItem struct{ Query, View, Schema string }
+
+func (p *keyProbe) member(d *reqjson.Decoder) bool {
+	switch {
+	case d.Key("query"):
+		p.Query = d.String(p.Query)
+	case d.Key("view"):
+		p.View = d.String(p.View)
+	case d.Key("viewName"):
+		p.ViewName = d.String(p.ViewName)
+	case d.Key("schema"):
+		p.Schema = d.String(p.Schema)
+	case d.Key("recursive"):
+		p.Recursive = d.Bool(p.Recursive)
+	case d.Key("p"):
+		p.P = d.String(p.P)
+	case d.Key("q"):
+		p.Q = d.String(p.Q)
+	case d.Key("items"):
+		p.Items = reqjson.Objects(d, p.Items, (*keyItem).member)
+	default:
+		return false
+	}
+	return true
+}
+
+func (it *keyItem) member(d *reqjson.Decoder) bool {
+	switch {
+	case d.Key("query"):
+		it.Query = d.String(it.Query)
+	case d.Key("view"):
+		it.View = d.String(it.View)
+	case d.Key("schema"):
+		it.Schema = d.String(it.Schema)
+	default:
+		return false
+	}
+	return true
 }
 
 // canonicalOr parses expr as a tree pattern and returns its canonical

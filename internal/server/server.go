@@ -54,6 +54,7 @@ import (
 	"qav/internal/limits"
 	"qav/internal/names"
 	"qav/internal/obs"
+	"qav/internal/reqjson"
 	"qav/internal/rewrite"
 	"qav/internal/viewstore"
 )
@@ -64,7 +65,7 @@ import (
 var faultHandler = fault.Register(names.FaultServerHandler)
 
 // maxBodyBytes bounds request bodies; anything larger is refused with
-// 413 before the decoder buffers it.
+// 413 (see readBody).
 const maxBodyBytes = 16 << 20
 
 // New returns the service's HTTP handler backed by a fresh Engine with
@@ -234,6 +235,24 @@ type rewriteRequest struct {
 	Recursive bool   `json:"recursive,omitempty"`
 }
 
+// member decodes the member d is at into r and reports whether it is
+// one of r's; every request type lists its members the same way.
+func (r *rewriteRequest) member(d *reqjson.Decoder) bool {
+	switch {
+	case d.Key("query"):
+		r.Query = d.String(r.Query)
+	case d.Key("view"):
+		r.View = d.String(r.View)
+	case d.Key("schema"):
+		r.Schema = d.String(r.Schema)
+	case d.Key("recursive"):
+		r.Recursive = d.Bool(r.Recursive)
+	default:
+		return false
+	}
+	return true
+}
+
 func (r rewriteRequest) text() engine.Text {
 	return engine.Text{Query: r.Query, View: r.View, Schema: r.Schema, Recursive: r.Recursive}
 }
@@ -257,7 +276,7 @@ type rewriteResponse struct {
 
 func (s *Service) handleRewrite(w http.ResponseWriter, r *http.Request) {
 	var req rewriteRequest
-	if err := decode(w, r, &req); err != nil {
+	if err := decode(r, req.member); err != nil {
 		httpError(w, decodeStatus(err), err)
 		return
 	}
@@ -337,6 +356,14 @@ type batchRewriteRequest struct {
 	Items []rewriteRequest `json:"items"`
 }
 
+func (r *batchRewriteRequest) member(d *reqjson.Decoder) bool {
+	if !d.Key("items") {
+		return false
+	}
+	r.Items = reqjson.Objects(d, r.Items, (*rewriteRequest).member)
+	return true
+}
+
 // batchItemResponse is one item's outcome: its own HTTP-style status
 // and either a rewrite response (200) or an error message. Shared marks
 // items that were canonically identical to an earlier item in the same
@@ -360,7 +387,7 @@ type batchRewriteResponse struct {
 // whenever the batch itself was well-formed.
 func (s *Service) handleRewriteBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRewriteRequest
-	if err := decode(w, r, &req); err != nil {
+	if err := decode(r, req.member); err != nil {
 		httpError(w, decodeStatus(err), err)
 		return
 	}
@@ -403,9 +430,27 @@ type answerRequest struct {
 	ViewName string `json:"viewName,omitempty"`
 }
 
+func (r *answerRequest) member(d *reqjson.Decoder) bool {
+	switch {
+	case d.Key("query"):
+		r.Query = d.String(r.Query)
+	case d.Key("view"):
+		r.View = d.String(r.View)
+	case d.Key("document"):
+		r.Document = d.String(r.Document)
+	case d.Key("schema"):
+		r.Schema = d.String(r.Schema)
+	case d.Key("viewName"):
+		r.ViewName = d.String(r.ViewName)
+	default:
+		return false
+	}
+	return true
+}
+
 func (s *Service) handleAnswer(w http.ResponseWriter, r *http.Request) {
 	var req answerRequest
-	if err := decode(w, r, &req); err != nil {
+	if err := decode(r, req.member); err != nil {
 		httpError(w, decodeStatus(err), err)
 		return
 	}
@@ -436,6 +481,20 @@ type registerViewRequest struct {
 	Document string `json:"document"`
 }
 
+func (r *registerViewRequest) member(d *reqjson.Decoder) bool {
+	switch {
+	case d.Key("name"):
+		r.Name = d.String(r.Name)
+	case d.Key("view"):
+		r.View = d.String(r.View)
+	case d.Key("document"):
+		r.Document = d.String(r.Document)
+	default:
+		return false
+	}
+	return true
+}
+
 type registerViewResponse struct {
 	Name  string `json:"name"`
 	Trees int    `json:"trees"`
@@ -447,7 +506,7 @@ type registerViewResponse struct {
 // integration scenario, shipping a view to the mediator.
 func (s *Service) handleRegisterView(w http.ResponseWriter, r *http.Request) {
 	var req registerViewRequest
-	if err := decode(w, r, &req); err != nil {
+	if err := decode(r, req.member); err != nil {
 		httpError(w, decodeStatus(err), err)
 		return
 	}
@@ -522,6 +581,20 @@ type containRequest struct {
 	Schema string `json:"schema,omitempty"`
 }
 
+func (r *containRequest) member(d *reqjson.Decoder) bool {
+	switch {
+	case d.Key("p"):
+		r.P = d.String(r.P)
+	case d.Key("q"):
+		r.Q = d.String(r.Q)
+	case d.Key("schema"):
+		r.Schema = d.String(r.Schema)
+	default:
+		return false
+	}
+	return true
+}
+
 type containResponse struct {
 	PInQ bool `json:"pInQ"`
 	QInP bool `json:"qInP"`
@@ -529,7 +602,7 @@ type containResponse struct {
 
 func (s *Service) handleContain(w http.ResponseWriter, r *http.Request) {
 	var req containRequest
-	if err := decode(w, r, &req); err != nil {
+	if err := decode(r, req.member); err != nil {
 		httpError(w, decodeStatus(err), err)
 		return
 	}
@@ -570,22 +643,63 @@ func statusFor(err error) int {
 	}
 }
 
-// decode parses exactly one JSON object from the request body. A body
-// with trailing garbage after the object ("{}{}", "{} extra") is
-// rejected: a second Decode must report io.EOF, otherwise the request
-// is ambiguous and refusing it beats silently ignoring half of it.
-// Oversized bodies surface as *http.MaxBytesError, which decodeStatus
-// maps to 413.
-func decode(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+// decode reads the request body and decodes exactly one JSON object
+// from it, member by member (see reqjson.Decode): unknown members and
+// trailing data after the object ("{}{}", "{} extra") are rejected, as
+// an ambiguous request is better refused than half ignored. A body over
+// maxBodyBytes surfaces as *http.MaxBytesError, which decodeStatus maps
+// to 413.
+func decode(r *http.Request, member func(*reqjson.Decoder) bool) error {
+	body, err := readBody(r)
+	if err != nil {
+		return err
+	}
+	if err := reqjson.Decode(body, member); err != nil {
 		return fmt.Errorf("bad request body: %w", err)
 	}
-	if err := dec.Decode(&struct{}{}); err != io.EOF {
-		return fmt.Errorf("bad request body: unexpected data after JSON object")
-	}
 	return nil
+}
+
+// bodyPresize bounds the buffer a declared Content-Length sizes up
+// front, so a client that declares a long body and sends a short one
+// costs the server at most this, or twice what it sent. Direct-answer
+// documents and view registrations up to it are read in one piece.
+const bodyPresize = 1 << 20
+
+// readBody reads the request body whole, and refuses it once it holds
+// more than maxBodyBytes, whatever the bytes within the limit hold.
+// The buffer is sized for the declared length plus the byte that reads
+// the end, so a body of known length up to bodyPresize is read in one
+// piece; past that, and without a length, it doubles as bytes arrive.
+func readBody(r *http.Request) ([]byte, error) {
+	if r.ContentLength > maxBodyBytes {
+		return nil, &http.MaxBytesError{Limit: maxBodyBytes}
+	}
+	want := 512
+	if r.ContentLength >= 0 {
+		want = int(r.ContentLength) + 1
+	}
+	buf := make([]byte, 0, min(want, bodyPresize))
+	for {
+		n, err := r.Body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if len(buf) > maxBodyBytes {
+			return nil, &http.MaxBytesError{Limit: maxBodyBytes}
+		}
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, fmt.Errorf("bad request body: %w", err)
+		}
+		if len(buf) == cap(buf) {
+			next := 2 * cap(buf)
+			if cap(buf) < want {
+				next = min(next, want)
+			}
+			buf = append(make([]byte, 0, next), buf...)
+		}
+	}
 }
 
 // decodeStatus maps a decode failure to its HTTP status: an oversized

@@ -110,10 +110,11 @@ func writeNode(w io.Writer, n *Node, depth int) error {
 	return err
 }
 
-func escape(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
-	return r.Replace(s)
-}
+// textEscaper escapes node text; a strings.Replacer is safe for
+// concurrent use, so one serves every writer.
+var textEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
+
+func escape(s string) string { return textEscaper.Replace(s) }
 
 // XMLString renders the document as an indented XML string.
 func (d *Document) XMLString() string {

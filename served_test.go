@@ -107,8 +107,12 @@ func BenchmarkServedHit(b *testing.B) {
 // servedHitMaxAllocs bounds the allocations of one served hit. The
 // router's canonical-form memo, the patterns' cached printed forms and
 // the replica's encoded-body memo brought it from 150 to 83, and
-// streaming the replica's response through the router to 82.
-const servedHitMaxAllocs = 100
+// streaming the replica's response through the router to 82. Decoding
+// the request body with reqjson in place of encoding/json, in the
+// router and in the replica, and building the attempt's URL without
+// printing and parsing it, brought it to 71 (73 under the race
+// detector), so a reflective decode coming back breaks the bound.
+const servedHitMaxAllocs = 73
 
 func TestServedHitAllocs(t *testing.T) {
 	h, stop := bootServed(t)
