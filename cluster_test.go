@@ -31,6 +31,7 @@ import (
 	"qav/internal/leaktest"
 	"qav/internal/router"
 	"qav/internal/server"
+	"qav/internal/workload"
 )
 
 // clusterSpecs is the request mix for cluster storms: all idempotent
@@ -52,13 +53,12 @@ func clusterSpecs() []chaosSpec {
 }
 
 // bootCluster starts n engine-backed replicas on a HandlerTransport
-// plus a router over them. The returned stop function closes the
-// router and every engine.
-func bootCluster(t testing.TB, n int, tweak func(*router.Config)) (*router.Router, *router.HandlerTransport, func()) {
+// plus a router over them; engines[i] backs replica-i. The returned
+// stop function closes the router and every engine.
+func bootCluster(t testing.TB, n int, tweak func(*router.Config)) (r *router.Router, ht *router.HandlerTransport, engines []*engine.Engine, stop func()) {
 	t.Helper()
-	ht := router.NewHandlerTransport()
+	ht = router.NewHandlerTransport()
 	var urls []string
-	var engines []*engine.Engine
 	for i := 0; i < n; i++ {
 		eng := engine.New(engine.Config{CacheSize: 64, MaxEmbeddings: 1 << 16, Timeout: 2 * time.Second})
 		engines = append(engines, eng)
@@ -84,7 +84,7 @@ func bootCluster(t testing.TB, n int, tweak func(*router.Config)) (*router.Route
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r, ht, func() {
+	return r, ht, engines, func() {
 		r.Close()
 		for _, eng := range engines {
 			if err := eng.Close(); err != nil {
@@ -129,7 +129,7 @@ func TestClusterKillRestartSlowStorm(t *testing.T) {
 	defer leaktest.Check(t)()
 	fault.Disable()
 
-	r, ht, stop := bootCluster(t, 3, nil)
+	r, ht, _, stop := bootCluster(t, 3, nil)
 	defer stop()
 
 	specs := clusterSpecs()
@@ -213,7 +213,7 @@ func TestClusterRouterFaultStorm(t *testing.T) {
 	defer leaktest.Check(t)()
 	defer fault.Disable()
 
-	r, _, stop := bootCluster(t, 3, func(c *router.Config) {
+	r, _, _, stop := bootCluster(t, 3, func(c *router.Config) {
 		c.HedgeAfter = 5 * time.Millisecond
 	})
 	defer stop()
@@ -280,7 +280,7 @@ func TestClusterDisabledDeterministic(t *testing.T) {
 	specs := clusterSpecs()
 	var reference []string
 	for round := 0; round < 2; round++ {
-		r, _, stop := bootCluster(t, 3, nil)
+		r, _, _, stop := bootCluster(t, 3, nil)
 		for i, spec := range specs {
 			req := spec.request()
 			rec := httptest.NewRecorder()
@@ -297,5 +297,55 @@ func TestClusterDisabledDeterministic(t *testing.T) {
 			}
 		}
 		stop()
+	}
+}
+
+// TestClusterAffinityKeepsCacheHits pins what canonical-affinity
+// routing buys over round-robin on a 3-replica cluster: 25 distinct
+// rewrite requests, sent one at a time for 6 rounds. Under affinity
+// each key has one owner, so only the first round misses (125 hits, 25
+// misses cluster-wide). Under round-robin a key visits every replica in
+// turn (25 is coprime with 3), so each replica computes each key once
+// before it can hit (75 hits, 75 misses): a hit-rate advantage of 1/3.
+func TestClusterAffinityKeepsCacheHits(t *testing.T) {
+	defer leaktest.Check(t)()
+	fault.Disable()
+
+	rng := rand.New(rand.NewSource(1))
+	alphabet := []string{"a", "b", "c"}
+	bodies := make([]string, 25)
+	for i := range bodies {
+		q, _ := json.Marshal(workload.RandomPattern(rng, alphabet, 5).String())
+		v, _ := json.Marshal(workload.RandomPattern(rng, alphabet, 5).String())
+		bodies[i] = `{"query":` + string(q) + `,"view":` + string(v) + `}`
+	}
+	for _, tc := range []struct {
+		policy       string
+		hits, misses int64
+	}{
+		{"affinity", 125, 25},
+		{"roundrobin", 75, 75},
+	} {
+		r, _, engines, stop := bootCluster(t, 3, func(c *router.Config) { c.Policy = tc.policy })
+		for round := 0; round < 6; round++ {
+			for i, body := range bodies {
+				rec := httptest.NewRecorder()
+				r.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/rewrite", strings.NewReader(body)))
+				if rec.Code != http.StatusOK {
+					stop()
+					t.Fatalf("%s round %d request %d: status %d: %s", tc.policy, round, i, rec.Code, rec.Body.String())
+				}
+			}
+		}
+		var hits, misses int64
+		for _, eng := range engines {
+			st := eng.Stats()
+			hits += st.CacheHits + st.CacheWarmHits
+			misses += st.CacheMisses
+		}
+		stop()
+		if hits != tc.hits || misses != tc.misses {
+			t.Errorf("%s: %d hits / %d misses, want %d / %d", tc.policy, hits, misses, tc.hits, tc.misses)
+		}
 	}
 }

@@ -2,12 +2,8 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
-	"runtime"
-	"time"
 
 	"qav/internal/engine"
 	"qav/internal/rewrite"
@@ -34,96 +30,34 @@ const (
 	catalogProbeSize = 10
 )
 
-// E15: the signature-indexed catalog under load.
+// E15: the signature-indexed catalog under load, printed from the
+// kernels `-exp catalog -json` reports.
 func expCatalog(ctx context.Context, eng *engine.Engine, seed int64) {
-	w := table("E15 signature-indexed view catalog (prune, shard, batch)",
-		"views", "t(register)/view", "t(candidates)", "cands", "t(select k=16)", "t(ref multiview)", "t(batch multiview)", "speedup", "union")
-	for _, n := range []int{1000, 10000} {
-		rng := rand.New(rand.NewSource(seed))
-		views := workload.RandomCatalogViews(rng, n, catalogTags, catalogMaxNodes, catalogChildFrac)
-		cat := viewstore.NewCatalog()
-		startReg := time.Now()
-		for _, v := range views {
-			cat.Register(v.Name, &viewstore.Materialized{Expr: v.Expr})
-		}
-		perReg := time.Since(startReg) / time.Duration(n)
-		sources := make([]rewrite.ViewSource, len(views))
-		for i, v := range views {
-			sources[i] = rewrite.ViewSource{Name: v.Name, View: v.Expr}
-		}
-		q := workload.CatalogProbeQuery(rng, 0, catalogTags, catalogProbeSize)
-		dst := make([]string, 0, 4096)
-		var cands []string
-		tCand := timeIt(200, func() {
-			var err error
-			if cands, err = cat.Candidates(ctx, q, dst[:0]); err != nil {
-				panic(err)
-			}
-		})
-		tSel := timeIt(50, func() {
-			if _, err := cat.SelectViews(ctx, q, 16); err != nil {
-				panic(err)
-			}
-		})
-		var ref, batch *rewrite.MultiViewResult
-		tRef := timeIt(1, func() {
-			var err error
-			if ref, err = rewrite.MCRMultiViewRef(q, sources, rewrite.Options{Context: ctx}); err != nil {
-				panic(err)
-			}
-		})
-		tBatch := timeIt(3, func() {
-			var err error
-			if batch, err = rewrite.MCRMultiView(q, sources, rewrite.Options{Context: ctx}); err != nil {
-				panic(err)
-			}
-		})
-		if batch.Union.String() != ref.Union.String() {
-			panic(fmt.Sprintf("batch union %s != ref union %s", batch.Union, ref.Union))
-		}
-		fmt.Fprintf(w, "%d\t%v\t%v\t%d\t%v\t%v\t%v\t%.1fx\t%d CRs\n",
-			n, perReg, tCand, len(cands), tSel, tRef, tBatch,
-			float64(tRef)/float64(tBatch), len(batch.Union.Patterns))
-		if ctx.Err() != nil {
-			break
-		}
+	kernels, err := catalogKernels(ctx, seed)
+	if err != nil {
+		panic(err)
 	}
-	w.Flush()
+	printKernels("E15 signature-indexed view catalog (prune, shard, batch)", kernels)
+	ref, batch := kernel(kernels, "multiview_ref_10k"), kernel(kernels, "multiview_batch_10k")
+	fmt.Printf("multiview 10k speedup (ref/batch): %.1fx\n", ref.NsPerOp/batch.NsPerOp)
 }
 
-// catalogMultiViewReport is the headline ablation record of the catalog
-// JSON report.
-type catalogMultiViewReport struct {
-	Views       int     `json:"views"`
-	Labeled     int     `json:"labeled"`
-	UnionCRs    int     `json:"union_crs"`
-	RefNsPerOp  float64 `json:"ref_ns_per_op"`
-	BatchNsOp   float64 `json:"batch_ns_per_op"`
-	Speedup     float64 `json:"speedup_ref_over_batch"`
-	UnionsAgree bool    `json:"unions_agree"`
-}
-
-// catalogReport is the `-exp catalog -json` document, archived as
-// BENCH_PR8.json and uploaded by the CI bench-smoke job.
-type catalogReport struct {
-	GOOS      string                 `json:"goos"`
-	GOARCH    string                 `json:"goarch"`
-	NumCPU    int                    `json:"num_cpu"`
-	Seed      int64                  `json:"seed"`
-	Kernels   []kernelResult         `json:"kernels"`
-	MultiView catalogMultiViewReport `json:"multiview_10k"`
-}
-
-// runCatalogJSON measures the catalog kernels and writes one JSON
-// report to stdout.
+// runCatalogJSON measures the catalog kernels and writes one report to
+// stdout.
 func runCatalogJSON(ctx context.Context, seed int64) error {
-	report := catalogReport{
-		GOOS:   runtime.GOOS,
-		GOARCH: runtime.GOARCH,
-		NumCPU: runtime.NumCPU(),
-		Seed:   seed,
+	kernels, err := catalogKernels(ctx, seed)
+	if err != nil {
+		return err
 	}
-	add := func(r kernelResult) { report.Kernels = append(report.Kernels, r) }
+	return writeReport(seed, kernels, nil)
+}
+
+// catalogKernels measures the catalog at 10k and 100k views. The 100k
+// anchored lookup is the acceptance point: at or under 1ms, zero
+// allocations. The batched and reference multi-view unions must agree.
+func catalogKernels(ctx context.Context, seed int64) ([]kernelResult, error) {
+	var kernels []kernelResult
+	add := func(r kernelResult) { kernels = append(kernels, r) }
 
 	// Register throughput at 10k views, signature construction included.
 	rng := rand.New(rand.NewSource(seed))
@@ -189,32 +123,21 @@ func runCatalogJSON(ctx context.Context, seed int64) error {
 	// pipeline over the 10k catalog, anchored probe, identical results.
 	{
 		var ref, batch *rewrite.MultiViewResult
-		refK := measure("multiview_ref_10k", 3, func() {
+		add(measure("multiview_ref_10k", 3, func() {
 			var err error
 			if ref, err = rewrite.MCRMultiViewRef(probe, sources, rewrite.Options{Context: ctx}); err != nil {
 				panic(err)
 			}
-		})
-		batchK := measure("multiview_batch_10k", 10, func() {
+		}))
+		add(measure("multiview_batch_10k", 10, func() {
 			var err error
 			if batch, err = rewrite.MCRMultiView(probe, sources, rewrite.Options{Context: ctx}); err != nil {
 				panic(err)
 			}
-		})
-		add(refK)
-		add(batchK)
-		report.MultiView = catalogMultiViewReport{
-			Views:       len(sources),
-			Labeled:     batch.Labeled,
-			UnionCRs:    len(batch.Union.Patterns),
-			RefNsPerOp:  refK.NsPerOp,
-			BatchNsOp:   batchK.NsPerOp,
-			Speedup:     refK.NsPerOp / batchK.NsPerOp,
-			UnionsAgree: batch.Union.String() == ref.Union.String(),
+		}))
+		if batch.Union.String() != ref.Union.String() {
+			return nil, fmt.Errorf("multiview: batch union %s != ref union %s", batch.Union, ref.Union)
 		}
 	}
-
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(report)
+	return kernels, nil
 }

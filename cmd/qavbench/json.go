@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"os"
 	"runtime"
@@ -13,15 +14,18 @@ import (
 	"qav/internal/rewrite"
 	"qav/internal/tpq"
 	"qav/internal/workload"
+	"qav/internal/xmltree"
 )
 
-// The -json mode measures the hot kernels the performance work targets
-// and emits one machine-readable document, suitable for archiving in
-// BENCH_PR*.json records and for the CI benchmark artifact. Kernel
-// setups mirror the corresponding benchmarks in bench_test.go
-// (BenchmarkContainment, BenchmarkMCRGenExponential,
-// BenchmarkNaiveVsMCRGen, BenchmarkUseEmbExistence, BenchmarkEvaluate)
-// so the numbers are directly comparable with `go test -bench`.
+// The -json mode measures kernels and emits one machine-readable
+// report. `-exp catalog -json` measures the catalog kernels (E15);
+// every other selection measures the hot kernels, E14's answer-plan
+// kernels among them. Kernel setups mirror the corresponding
+// benchmarks in bench_test.go (BenchmarkContainment,
+// BenchmarkMCRGenExponential, BenchmarkNaiveVsMCRGen,
+// BenchmarkUseEmbExistence, BenchmarkEvaluate) so the numbers are
+// directly comparable with `go test -bench`. E14 and E15 print their
+// tables from the same kernel results.
 
 // kernelResult is one measured kernel of the -json report.
 type kernelResult struct {
@@ -32,18 +36,51 @@ type kernelResult struct {
 	AllocsPerOp float64 `json:"allocs_per_op"`
 }
 
-// jsonReport is the top-level -json document. Stages carries pipeline
-// stage timings aggregated across the rewriting kernels, in the exact
-// schema the server's GET /metrics emits for its "stages" section, so
-// bench artifacts and production metrics can be compared field for
-// field.
-type jsonReport struct {
+// report is the one -json document. Stages carries pipeline stage
+// timings aggregated across the spanned kernels, in the exact schema
+// the server's GET /metrics emits for its "stages" section, so bench
+// artifacts and production metrics can be compared field for field.
+type report struct {
 	GOOS    string                       `json:"goos"`
 	GOARCH  string                       `json:"goarch"`
 	NumCPU  int                          `json:"num_cpu"`
 	Seed    int64                        `json:"seed"`
 	Kernels []kernelResult               `json:"kernels"`
 	Stages  map[string]obs.StageSnapshot `json:"stages,omitempty"`
+}
+
+// writeReport encodes kernels and stages as one report on stdout.
+func writeReport(seed int64, kernels []kernelResult, stages map[string]obs.StageSnapshot) error {
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	return enc.Encode(report{
+		GOOS:    runtime.GOOS,
+		GOARCH:  runtime.GOARCH,
+		NumCPU:  runtime.NumCPU(),
+		Seed:    seed,
+		Kernels: kernels,
+		Stages:  stages,
+	})
+}
+
+// kernel returns the result named name, or the zero result.
+func kernel(ks []kernelResult, name string) kernelResult {
+	for _, k := range ks {
+		if k.Name == name {
+			return k
+		}
+	}
+	return kernelResult{}
+}
+
+// printKernels prints ks as one experiment table.
+func printKernels(header string, ks []kernelResult) {
+	w := table(header, "kernel", "iters", "time/op", "B/op", "allocs/op")
+	for _, k := range ks {
+		fmt.Fprintf(w, "%s\t%d\t%v\t%.0f\t%.0f\n",
+			k.Name, k.Iters, time.Duration(k.NsPerOp), k.BytesPerOp, k.AllocsPerOp)
+	}
+	w.Flush()
 }
 
 // measure runs f iters times and reports per-op wall time and heap
@@ -70,27 +107,22 @@ func measure(name string, iters int, f func()) kernelResult {
 	}
 }
 
-// runJSON measures every kernel and writes the report to stdout.
-func runJSON(ctx context.Context, seed int64) error {
-	report := jsonReport{
-		GOOS:   runtime.GOOS,
-		GOARCH: runtime.GOARCH,
-		NumCPU: runtime.NumCPU(),
-		Seed:   seed,
+// spanned wraps run in a per-op stage span folded into reg, producing
+// the same per-stage counts, totals and latency quantiles that qavd's
+// /metrics reports.
+func spanned(reg *obs.Registry, run func(ctx context.Context)) func() {
+	return func() {
+		sp := obs.NewSpan()
+		run(obs.WithSpan(context.Background(), sp))
+		reg.ObserveSpan(sp)
 	}
-	add := func(r kernelResult) { report.Kernels = append(report.Kernels, r) }
+}
 
-	// Rewriting kernels run with a per-op stage span folded into this
-	// registry, producing the same per-stage counts, totals and latency
-	// quantiles that qavd's /metrics reports.
+// runJSON measures the hot kernels and writes the report to stdout.
+func runJSON(ctx context.Context, seed int64) error {
+	var kernels []kernelResult
+	add := func(r kernelResult) { kernels = append(kernels, r) }
 	reg := obs.NewRegistry()
-	spanned := func(run func(ctx context.Context)) func() {
-		return func() {
-			sp := obs.NewSpan()
-			run(obs.WithSpan(context.Background(), sp))
-			reg.ObserveSpan(sp)
-		}
-	}
 
 	// Containment over random size-12 patterns (BenchmarkContainment).
 	{
@@ -112,7 +144,7 @@ func runJSON(ctx context.Context, seed int64) error {
 	{
 		v := workload.Fig8View()
 		q := workload.Fig8Query(7)
-		add(measure("mcr_fig8_n7", 20, spanned(func(ctx context.Context) {
+		add(measure("mcr_fig8_n7", 20, spanned(reg, func(ctx context.Context) {
 			if _, err := rewrite.MCR(q, v, rewrite.Options{MaxEmbeddings: 1 << 22, Context: ctx}); err != nil {
 				panic(err)
 			}
@@ -131,7 +163,7 @@ func runJSON(ctx context.Context, seed int64) error {
 			vs[i] = workload.RandomPattern(rng, alphabet, 6)
 		}
 		i := 0
-		add(measure("mcrgen_random6", 50000, spanned(func(ctx context.Context) {
+		add(measure("mcrgen_random6", 50000, spanned(reg, func(ctx context.Context) {
 			if _, err := rewrite.MCR(qs[i%len(qs)], vs[i%len(vs)], rewrite.Options{MaxEmbeddings: 1 << 18, Context: ctx}); err != nil {
 				panic(err)
 			}
@@ -175,52 +207,58 @@ func runJSON(ctx context.Context, seed int64) error {
 		add(measure("evaluate_groups100", 2000, func() { q.Evaluate(d) }))
 	}
 
-	// End-to-end answering over a ~10^6-node corpus (the expAnswer
-	// experiment's setup): per-CR naive evaluation vs the compiled
-	// answer plan, plus the one-time forest index build. The plan
-	// kernels fold their stage spans into the same registry, so the
-	// report's "stages" section carries plan.compile/index/exec rows.
-	{
-		d, err := workload.ClinicalTrialsDoc(ctx, rand.New(rand.NewSource(1)), 700, 700, 0.1)
-		if err != nil {
-			return err
-		}
-		q := tpq.MustParse("//Trials[//Status]//Trial/Patient")
-		v := tpq.MustParse("//Trials//Trial")
-		res, err := rewrite.MCR(q, v, rewrite.Options{Context: ctx})
-		if err != nil {
-			return err
-		}
-		viewNodes := rewrite.MaterializeView(v, d)
-		add(measure("answer_naive_1m", 3, func() {
-			if _, err := rewrite.NaiveAnswerMaterialized(ctx, res.CRs, d, viewNodes); err != nil {
-				panic(err)
-			}
-		}))
-		var pl *plan.Plan
-		add(measure("answer_plan_compile", 100, spanned(func(ctx context.Context) {
-			var err error
-			if pl, err = plan.Compile(ctx, rewrite.Compensations(res.CRs)); err != nil {
-				panic(err)
-			}
-		})))
-		var f *plan.Forest
-		add(measure("answer_plan_index_1m", 3, spanned(func(ctx context.Context) {
-			var err error
-			if f, err = plan.IndexSubtrees(ctx, d, viewNodes); err != nil {
-				panic(err)
-			}
-		})))
-		add(measure("answer_plan_exec_1m", 5, spanned(func(ctx context.Context) {
-			if _, err := pl.Exec(ctx, f, plan.ExecOptions{}); err != nil {
-				panic(err)
-			}
-		})))
+	answer, _, err := answerKernels(ctx, reg)
+	if err != nil {
+		return err
 	}
+	kernels = append(kernels, answer...)
+	return writeReport(seed, kernels, reg.Snapshot().Stages)
+}
 
-	report.Stages = reg.Snapshot().Stages
-
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(report)
+// answerKernels measures end-to-end answering over a ~10^6-node corpus
+// (E14): per-CR naive evaluation vs the compiled answer plan, plus the
+// plan's compile and one-time forest index build. The plan kernels
+// fold their stage spans into reg, so a report carries
+// plan.compile/index/exec stage rows. It returns the answer count,
+// after checking that the plan's equals the naive one.
+func answerKernels(ctx context.Context, reg *obs.Registry) ([]kernelResult, int, error) {
+	d, err := workload.ClinicalTrialsDoc(ctx, rand.New(rand.NewSource(1)), 700, 700, 0.1)
+	if err != nil {
+		return nil, 0, err
+	}
+	q := tpq.MustParse("//Trials[//Status]//Trial/Patient")
+	v := tpq.MustParse("//Trials//Trial")
+	res, err := rewrite.MCR(q, v, rewrite.Options{Context: ctx})
+	if err != nil {
+		return nil, 0, err
+	}
+	viewNodes := rewrite.MaterializeView(v, d)
+	var naive []*xmltree.Node
+	naiveK := measure("answer_naive_1m", 3, func() {
+		if naive, err = rewrite.NaiveAnswerMaterialized(ctx, res.CRs, d, viewNodes); err != nil {
+			panic(err)
+		}
+	})
+	var pl *plan.Plan
+	compileK := measure("answer_plan_compile", 100, spanned(reg, func(ctx context.Context) {
+		if pl, err = plan.Compile(ctx, rewrite.Compensations(res.CRs)); err != nil {
+			panic(err)
+		}
+	}))
+	var f *plan.Forest
+	indexK := measure("answer_plan_index_1m", 3, spanned(reg, func(ctx context.Context) {
+		if f, err = plan.IndexSubtrees(ctx, d, viewNodes); err != nil {
+			panic(err)
+		}
+	}))
+	var r *plan.ExecResult
+	execK := measure("answer_plan_exec_1m", 5, spanned(reg, func(ctx context.Context) {
+		if r, err = pl.Exec(ctx, f, plan.ExecOptions{}); err != nil {
+			panic(err)
+		}
+	}))
+	if len(r.Matches) != len(naive) {
+		return nil, 0, fmt.Errorf("plan: %d answers, naive %d", len(r.Matches), len(naive))
+	}
+	return []kernelResult{naiveK, compileK, indexK, execK}, len(naive), nil
 }

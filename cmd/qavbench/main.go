@@ -28,6 +28,7 @@ import (
 	"qav/internal/chase"
 	"qav/internal/constraints"
 	"qav/internal/engine"
+	"qav/internal/obs"
 	"qav/internal/plan"
 	"qav/internal/rewrite"
 	"qav/internal/tpq"
@@ -37,7 +38,7 @@ import (
 )
 
 func main() {
-	expFlag := flag.String("exp", "all", "experiments to run: useemb,mcrsize,inference,chase,schemamcr,savings,overhead,naive,recursive,engines,cache,select,answer,catalog,coldstart,cluster or all")
+	expFlag := flag.String("exp", "all", "experiments to run: useemb,mcrsize,inference,chase,schemamcr,savings,overhead,naive,recursive,engines,cache,select,answer,catalog or all")
 	seed := flag.Int64("seed", 1, "random seed")
 	jsonFlag := flag.Bool("json", false, "measure the hot kernels and emit one JSON report instead of the experiment tables")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -76,17 +77,11 @@ func main() {
 	}
 
 	if *jsonFlag {
-		// `-exp catalog -json` selects the catalog-scaling report and
-		// `-exp coldstart -json` the restart-protocol report; every
-		// other selection emits the standard hot-kernel report.
+		// `-exp catalog -json` selects the catalog kernels; every other
+		// selection emits the hot kernels.
 		run := runJSON
-		switch *expFlag {
-		case "catalog":
+		if *expFlag == "catalog" {
 			run = runCatalogJSON
-		case "coldstart":
-			run = runColdstartJSON
-		case "cluster":
-			run = runClusterJSON
 		}
 		if err := run(ctx, *seed); err != nil {
 			fmt.Fprintf(os.Stderr, "qavbench: %v\n", err)
@@ -112,10 +107,8 @@ func main() {
 		"select":    expSelect,
 		"answer":    expAnswer,
 		"catalog":   expCatalog,
-		"coldstart": expColdstart,
-		"cluster":   expCluster,
 	}
-	order := []string{"useemb", "mcrsize", "inference", "chase", "schemamcr", "savings", "overhead", "naive", "recursive", "engines", "cache", "select", "answer", "catalog", "coldstart", "cluster"}
+	order := []string{"useemb", "mcrsize", "inference", "chase", "schemamcr", "savings", "overhead", "naive", "recursive", "engines", "cache", "select", "answer", "catalog"}
 
 	selected := strings.Split(*expFlag, ",")
 	if *expFlag == "all" {
@@ -521,55 +514,15 @@ func expCache(ctx context.Context, eng *engine.Engine, seed int64) {
 }
 
 // E14 (answer plans): end-to-end answering over a ~10^6-node corpus —
-// per-CR naive evaluation vs the compiled plan. The plan is compiled
-// once and the forest indexed once (both timed); the plan's answer
-// count is checked against the naive one.
+// per-CR naive evaluation vs the compiled plan, printed from the
+// kernels `-json` reports. The plan's answer count is checked against
+// the naive one.
 func expAnswer(ctx context.Context, eng *engine.Engine, seed int64) {
-	w := table("E14 answer plans: compiled plan vs naive per-CR evaluation",
-		"method", "answers", "t(index)", "t(exec)", "speedup")
-	rng := rand.New(rand.NewSource(seed))
-	d, err := workload.ClinicalTrialsDoc(ctx, rng, 700, 700, 0.1)
+	kernels, answers, err := answerKernels(ctx, obs.NewRegistry())
 	if err != nil {
 		panic(err)
 	}
-	q := tpq.MustParse("//Trials[//Status]//Trial/Patient")
-	v := tpq.MustParse("//Trials//Trial")
-	res, err := rewrite.MCR(q, v, rewrite.Options{Context: ctx})
-	if err != nil {
-		panic(err)
-	}
-	viewNodes := rewrite.MaterializeView(v, d)
-	fmt.Printf("corpus: %d nodes, view materializes %d subtrees, MCR has %d CR(s)\n",
-		d.Size(), len(viewNodes), len(res.CRs))
-
-	var naive []*xmltree.Node
-	tNaive := timeIt(3, func() {
-		if naive, err = rewrite.NaiveAnswerMaterialized(ctx, res.CRs, d, viewNodes); err != nil {
-			panic(err)
-		}
-	})
-	fmt.Fprintf(w, "naive\t%d\t-\t%v\t1.00x\n", len(naive), tNaive)
-
-	pl, err := plan.Compile(ctx, rewrite.Compensations(res.CRs))
-	if err != nil {
-		panic(err)
-	}
-	var f *plan.Forest
-	tIndex := timeIt(3, func() {
-		if f, err = plan.IndexSubtrees(ctx, d, viewNodes); err != nil {
-			panic(err)
-		}
-	})
-	var r *plan.ExecResult
-	tExec := timeIt(3, func() {
-		if r, err = pl.Exec(ctx, f, plan.ExecOptions{}); err != nil {
-			panic(err)
-		}
-	})
-	if len(r.Matches) != len(naive) {
-		panic(fmt.Sprintf("plan: %d answers, naive %d", len(r.Matches), len(naive)))
-	}
-	fmt.Fprintf(w, "plan\t%d\t%v\t%v\t%.2fx\n",
-		len(r.Matches), tIndex, tExec, float64(tNaive)/float64(tExec))
-	w.Flush()
+	printKernels("E14 answer plans: compiled plan vs naive per-CR evaluation", kernels)
+	naive, exec := kernel(kernels, "answer_naive_1m"), kernel(kernels, "answer_plan_exec_1m")
+	fmt.Printf("answers: %d (plan = naive); exec speedup (naive/plan): %.2fx\n", answers, naive.NsPerOp/exec.NsPerOp)
 }

@@ -346,13 +346,6 @@ func (c *Cache[V]) AttachTier2(p *Persist[V]) {
 	c.mu.Unlock()
 }
 
-// Tier2 returns the attached persistent tier, or nil.
-func (c *Cache[V]) Tier2() *Persist[V] {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.tier2
-}
-
 // Close detaches and closes the persistent tier, flushing queued
 // writes. A memory-only cache Closes as a no-op. The cache itself
 // remains usable (memory-only) afterwards.

@@ -3,71 +3,136 @@ package engine
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"testing"
 
 	"qav/internal/leaktest"
 	"qav/internal/rewrite"
 	"qav/internal/tpq"
+	"qav/internal/workload"
 )
 
-// A restarted engine serves a previously computed rewriting as a warm
-// hit: no recompute (miss counter stays zero), the result decodes to
-// the same union, and the tier counters make the warm hit visible.
+// warmPairs is the restart workload: n distinct random size-6
+// query/view pairs from a fixed seed.
+func warmPairs(n int) []Text {
+	rng := rand.New(rand.NewSource(1))
+	alphabet := []string{"a", "b", "c"}
+	reqs := make([]Text, n)
+	for i := range reqs {
+		reqs[i].Query = workload.RandomPattern(rng, alphabet, 6).String()
+		reqs[i].View = workload.RandomPattern(rng, alphabet, 6).String()
+	}
+	return reqs
+}
+
+// A restarted engine serves previously computed rewritings as warm
+// hits: every persisted result is replayed, nothing is recomputed
+// (the miss counter stays zero), each result decodes to the same
+// union, and the tier counters make the warm hits visible.
 func TestWarmBootServesRewriteWithoutRecompute(t *testing.T) {
 	defer leaktest.Check(t)()
-	dir := t.TempDir()
-	req := Text{Query: "//Trials[//Status]//Trial", View: "//Trials//Trial"}
+	for _, tc := range []struct {
+		name string
+		reqs []Text
+	}{
+		{"trials", []Text{{Query: "//Trials[//Status]//Trial", View: "//Trials//Trial"}}},
+		{"random6x200", warmPairs(200)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := len(tc.reqs)
+			dir := t.TempDir()
+			cfg := Config{CacheSize: 2 * n, CacheDir: dir}
 
-	e1 := New(Config{CacheSize: 16, CacheDir: dir})
-	if wb := e1.WarmBootInfo(); !wb.Enabled || wb.Err != "" {
-		t.Fatalf("warm boot info = %+v, want enabled tier", wb)
-	}
-	want, err := rewriteText(e1, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e1.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if st := e1.Stats(); st.Persisted != 1 {
-		t.Fatalf("persisted = %d, want 1", st.Persisted)
-	}
+			e1 := New(cfg)
+			if wb := e1.WarmBootInfo(); !wb.Enabled || wb.Err != "" {
+				t.Fatalf("warm boot info = %+v, want enabled tier", wb)
+			}
+			want := make([]*rewrite.Result, n)
+			for i, req := range tc.reqs {
+				var err error
+				if want[i], err = rewriteText(e1, req); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := e1.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if st := e1.Stats(); st.Persisted != int64(n) {
+				t.Fatalf("persisted = %d, want %d", st.Persisted, n)
+			}
 
-	e2 := New(Config{CacheSize: 16, CacheDir: dir})
-	defer e2.Close()
-	if wb := e2.WarmBootInfo(); wb.Replayed != 1 {
-		t.Fatalf("second boot replayed = %d, want 1", wb.Replayed)
+			e2 := New(cfg)
+			defer e2.Close()
+			if wb := e2.WarmBootInfo(); wb.Replayed != int64(n) || wb.Err != "" || wb.TruncatedBytes != 0 {
+				t.Fatalf("second boot = %+v, want a clean replay of %d", wb, n)
+			}
+			for i, req := range tc.reqs {
+				got, err := rewriteText(e2, req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !got.Union.SameAs(want[i].Union) {
+					t.Errorf("%v: warm union %s != original %s", req, got.Union, want[i].Union)
+				}
+				if len(got.CRs) != len(want[i].CRs) {
+					t.Errorf("%v: warm CRs = %d, want %d", req, len(got.CRs), len(want[i].CRs))
+				}
+				for _, cr := range got.CRs {
+					if cr.Compensation == nil {
+						t.Errorf("%v: restored CR lost its compensation", req)
+					}
+				}
+			}
+			st := e2.Stats()
+			if st.CacheWarmHits != int64(n) {
+				t.Errorf("warm hits = %d, want %d", st.CacheWarmHits, n)
+			}
+			if st.CacheMisses != 0 {
+				t.Errorf("misses = %d, want 0 (the pipeline must not recompute)", st.CacheMisses)
+			}
+			// The replay must also be visible in /metrics: stage credit +
+			// tier counters in the cache snapshot.
+			snap := e2.MetricsSnapshot()
+			if snap.Cache == nil || snap.Cache.WarmHits != int64(n) || snap.Cache.Replayed != int64(n) {
+				t.Errorf("metrics cache snapshot = %+v, want warmHits=replayed=%d", snap.Cache, n)
+			}
+			if _, ok := snap.Stages["cache.replay"]; !ok {
+				t.Error("cache.replay stage missing from metrics")
+			}
+		})
 	}
-	got, err := rewriteText(e2, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Union.SameAs(want.Union) {
-		t.Errorf("warm union %s != original %s", got.Union, want.Union)
-	}
-	if len(got.CRs) != len(want.CRs) {
-		t.Errorf("warm CRs = %d, want %d", len(got.CRs), len(want.CRs))
-	}
-	for _, cr := range got.CRs {
-		if cr.Compensation == nil {
-			t.Error("restored CR lost its compensation")
+}
+
+// BenchmarkWarmBoot times one restart: an engine opened on a segment
+// of 200 persisted rewritings replays it and serves every request from
+// the warm tier.
+func BenchmarkWarmBoot(b *testing.B) {
+	reqs := warmPairs(200)
+	cfg := Config{CacheSize: 2 * len(reqs), CacheDir: b.TempDir()}
+	cold := New(cfg)
+	for _, req := range reqs {
+		if _, err := rewriteText(cold, req); err != nil {
+			b.Fatal(err)
 		}
 	}
-	st := e2.Stats()
-	if st.CacheWarmHits != 1 {
-		t.Errorf("warm hits = %d, want 1", st.CacheWarmHits)
+	if err := cold.Close(); err != nil {
+		b.Fatal(err)
 	}
-	if st.CacheMisses != 0 {
-		t.Errorf("misses = %d, want 0 (the pipeline must not recompute)", st.CacheMisses)
-	}
-	// The replay must also be visible in /metrics: stage credit + tier
-	// counters in the cache snapshot.
-	snap := e2.MetricsSnapshot()
-	if snap.Cache == nil || snap.Cache.WarmHits != 1 || snap.Cache.Replayed != 1 {
-		t.Errorf("metrics cache snapshot = %+v, want warmHits=1 replayed=1", snap.Cache)
-	}
-	if _, ok := snap.Stages["cache.replay"]; !ok {
-		t.Error("cache.replay stage missing from metrics")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e := New(cfg)
+		for _, req := range reqs {
+			if _, err := rewriteText(e, req); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if st := e.Stats(); st.CacheMisses != 0 {
+			b.Fatalf("warm boot recomputed %d requests", st.CacheMisses)
+		}
+		if err := e.Close(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -38,8 +38,8 @@ func NaiveAnswerMaterialized(ctx context.Context, crs []*ContainedRewriting, d *
 // NaiveAnswerForest is the reference evaluator for shipped forests
 // (the viewstore layout, one standalone document per view answer):
 // per-CR, per-tree pinned evaluation, deduplicated by node and ordered
-// by (tree, preorder) — the ordering contract Materialized.Answer and
-// the plan layer share. The context is polled once per (rewriting,
+// by (tree, preorder) — the ordering contract of the plan layer's
+// stored-view answers. The context is polled once per (rewriting,
 // tree) pair.
 func NaiveAnswerForest(ctx context.Context, crs []*ContainedRewriting, forest []*xmltree.Document) ([]*xmltree.Node, error) {
 	type hit struct {

@@ -62,21 +62,6 @@ func (a *affinity) order(key string, reps []*replica) []int {
 	return out
 }
 
-// rendezvousRank is the pure ranking function behind the affinity
-// policy, exposed for the stability regression test: it returns the
-// index in names of the top-ranked owner for key.
-func rendezvousRank(names []string, key string) int {
-	hk := fnv64a(key)
-	best, bestScore := 0, uint64(0)
-	for i, name := range names {
-		s := splitmix64(fnv64a(name) ^ hk)
-		if i == 0 || s > bestScore {
-			best, bestScore = i, s
-		}
-	}
-	return best
-}
-
 // fnv64a is the 64-bit FNV-1a hash.
 func fnv64a(s string) uint64 {
 	const (

@@ -108,7 +108,7 @@ type Config struct {
 	// Responses are streamed, so no bound applies to them.
 	MaxBodyBytes int64
 	// Transport performs the attempts (default http.DefaultTransport).
-	// Tests and qavbench install a HandlerTransport here.
+	// Tests and bench/ install a HandlerTransport here.
 	Transport http.RoundTripper
 	// Metrics receives endpoint and stage observations (default: a
 	// fresh registry, served at GET /metrics).
@@ -777,7 +777,10 @@ func (r *Router) attempt(ctx context.Context, rep *replica, orig *http.Request, 
 	u.Path = orig.URL.Path
 	u.RawQuery = orig.URL.RawQuery
 	req.Host = u.Host
-	req.Header = orig.Header.Clone()
+	// Every attempt shares the client's header map read-only: nothing
+	// in the router, the replica handlers or a RoundTripper writes to a
+	// request's Header.
+	req.Header = orig.Header
 	resp, err := r.cfg.Transport.RoundTrip(req)
 	elapsed := time.Since(start)
 	if err != nil {

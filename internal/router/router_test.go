@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -33,6 +34,8 @@ type fakeReplica struct {
 	// ends; the context's error at that point goes to held.
 	hold time.Duration
 	held chan error
+	// traces records the X-Client-Trace header of every proxied request.
+	traces []string
 }
 
 func (f *fakeReplica) set(fn func(*fakeReplica)) {
@@ -59,6 +62,7 @@ func newFakeReplica(name string) *fakeReplica {
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		f.mu.Lock()
 		status, retryAft, body, hold, held := f.status, f.retryAft, f.body, f.hold, f.held
+		f.traces = append(f.traces, r.Header.Get("X-Client-Trace"))
 		f.mu.Unlock()
 		if hold > 0 {
 			timer := time.NewTimer(hold)
@@ -156,12 +160,21 @@ func TestAffinityStableOwner(t *testing.T) {
 			t.Fatalf("affinity moved: %s then %s", owner, got)
 		}
 	}
-	// An equivalent spelling of the same canonical pattern must land on
-	// the same owner — the whole point of canonical-affinity routing.
-	rec := doRewrite(t, r, `{"query":"//a[.//c][b]//c","view":"//a//c"}`)
-	_ = rec // different canonical key may differ; just must not error
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d", rec.Code)
+	// Two spellings of the same canonical pattern must land on the same
+	// owner — the whole point of canonical-affinity routing.
+	const q1, q2 = "//a[b][d]//c", "//a[d][b]//c"
+	if canonicalOr(q1) != canonicalOr(q2) {
+		t.Fatalf("%s and %s are not canonical twins", q1, q2)
+	}
+	replicaFor := func(q string) string {
+		rec := doRewrite(t, r, `{"query":"`+q+`","view":"//a//c"}`)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d", q, rec.Code)
+		}
+		return rec.Header().Get("X-QAV-Replica")
+	}
+	if a, b := replicaFor(q1), replicaFor(q2); a != b {
+		t.Fatalf("canonical twins routed to %s and %s", a, b)
 	}
 }
 
@@ -351,6 +364,49 @@ func TestHedgeWinsOverSlowPrimary(t *testing.T) {
 	}
 	// Leaktest (deferred) pins that the losing attempt's goroutine is
 	// gone after Close.
+}
+
+// TestHedgedAttemptsCarryClientHeaders: both attempts of a hedged
+// pair reach their replicas with the client's headers, and the router
+// leaves the client's header map as it found it.
+func TestHedgedAttemptsCarryClientHeaders(t *testing.T) {
+	defer leaktest.Check(t)()
+	r, _, reps, closeAll := testCluster(t, 3, func(c *Config) {
+		c.HedgeAfter = 5 * time.Millisecond
+	})
+	defer closeAll()
+
+	var idx int
+	fmt.Sscanf(doRewrite(t, r, rewriteBody).Header().Get("X-QAV-Replica"), "replica-%d", &idx)
+	held := make(chan error, 1)
+	reps[idx].set(func(f *fakeReplica) { f.hold, f.held = 150*time.Millisecond, held })
+
+	req := httptest.NewRequest("POST", "/v1/rewrite", strings.NewReader(rewriteBody))
+	req.Header.Set("X-Client-Trace", "trace-42")
+	req.Header["Accept"] = []string{"application/json", "text/plain"}
+	want := req.Header.Clone()
+	rec := httptest.NewRecorder()
+	r.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+	}
+	<-held // the losing primary has returned
+	var winner int
+	fmt.Sscanf(rec.Header().Get("X-QAV-Replica"), "replica-%d", &winner)
+	if winner == idx {
+		t.Fatalf("slow owner replica-%d won; no hedge ran", idx)
+	}
+	for _, i := range []int{idx, winner} {
+		reps[i].mu.Lock()
+		last := reps[i].traces[len(reps[i].traces)-1]
+		reps[i].mu.Unlock()
+		if last != "trace-42" {
+			t.Errorf("replica-%d saw X-Client-Trace %q, want %q", i, last, "trace-42")
+		}
+	}
+	if !reflect.DeepEqual(req.Header, want) {
+		t.Errorf("client header map changed: %v, want %v", req.Header, want)
+	}
 }
 
 // failingBody is a replica body that fails after n bytes, as a
@@ -560,19 +616,29 @@ func TestClusterStatusDocument(t *testing.T) {
 	}
 }
 
-// TestRendezvousStability pins the ~1/N migration property: adding a
-// replica moves keys only onto the new replica, and removing one moves
-// only the keys it owned.
+// TestRendezvousStability pins the ~1/N migration property of the
+// affinity policy: adding a replica moves keys only onto the new
+// replica, and removing one moves only the keys it owned.
 func TestRendezvousStability(t *testing.T) {
-	three := []string{"replica-0", "replica-1", "replica-2"}
-	four := append(append([]string{}, three...), "replica-3")
+	replicas := func(n int) []*replica {
+		reps := make([]*replica, n)
+		for i := range reps {
+			name := fmt.Sprintf("replica-%d", i)
+			reps[i] = &replica{name: name, nameHash: fnv64a(name)}
+		}
+		return reps
+	}
+	three, four := replicas(3), replicas(4)
+	owner := func(reps []*replica, key string) string {
+		return reps[(&affinity{}).order(key, reps)[0]].name
+	}
 
 	const keys = 2000
 	moved := 0
 	for i := 0; i < keys; i++ {
 		key := fmt.Sprintf("//a[b%d]//c\x00//a//c\x00", i)
-		before := three[rendezvousRank(three, key)]
-		after := four[rendezvousRank(four, key)]
+		before := owner(three, key)
+		after := owner(four, key)
 		if before != after {
 			moved++
 			if after != "replica-3" {
@@ -588,8 +654,8 @@ func TestRendezvousStability(t *testing.T) {
 	// Removal: survivors keep every key they already owned.
 	for i := 0; i < keys; i++ {
 		key := fmt.Sprintf("//x[y%d]\x00//x\x00", i)
-		before := four[rendezvousRank(four, key)]
-		after := three[rendezvousRank(three, key)]
+		before := owner(four, key)
+		after := owner(three, key)
 		if before != "replica-3" && before != after {
 			t.Fatalf("key %d moved %s -> %s on removal of replica-3", i, before, after)
 		}

@@ -24,7 +24,7 @@ func (e *DownError) Transient() bool { return true }
 
 // HandlerTransport is an http.RoundTripper that dispatches requests to
 // in-process http.Handlers by host name — the cluster test fabric. It
-// lets the chaos suite and qavbench boot a 3+ replica cluster inside
+// lets the chaos suite and bench/ boot a 3+ replica cluster inside
 // one process with no sockets, then kill (SetDown), slow (SetDelay)
 // and restart replicas deterministically under -race.
 type HandlerTransport struct {

@@ -14,7 +14,6 @@ import (
 	"sync"
 
 	"qav/internal/plan"
-	"qav/internal/rewrite"
 	"qav/internal/tpq"
 	"qav/internal/xmltree"
 )
@@ -99,30 +98,6 @@ func (m *Materialized) Append(trees ...*xmltree.Document) {
 	defer m.mu.Unlock()
 	m.Forest = append(m.Forest, trees...)
 	m.index = nil
-}
-
-// Answer applies the contained rewritings' compensation queries to the
-// stored forest and returns the answers (nodes of the stored trees).
-// This is E ∘ V evaluated the way footnote 1 of §2 prescribes, with no
-// access to the source database. The compensations are compiled to an
-// answer plan and executed over the cached forest index; answers are
-// deduplicated across CRs and returned in (tree, preorder) order —
-// stable regardless of CR enumeration order (preorder indexes repeat
-// across the standalone trees, so index order alone would not be).
-func (m *Materialized) Answer(ctx context.Context, crs []*rewrite.ContainedRewriting) ([]*xmltree.Node, error) {
-	pl, err := plan.Compile(ctx, rewrite.Compensations(crs))
-	if err != nil {
-		return nil, err
-	}
-	f, err := m.ForestIndex(ctx)
-	if err != nil {
-		return nil, err
-	}
-	res, err := pl.Exec(ctx, f, plan.ExecOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return res.Nodes(), nil
 }
 
 // Write serializes the materialized view as an XML envelope:

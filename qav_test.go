@@ -160,16 +160,18 @@ func TestPublicAPIShipAndMediate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := qav.MustParseQuery("//Trials[//Status]//Trial/Patient")
-	res, err := qav.RewriteWithOptions(q, m2.Expr, qav.Options{MaxEmbeddings: 1 << 12})
+	// The mediator registers the shipped forest and answers by name,
+	// with no access to the source document.
+	e := qav.NewEngine(qav.EngineConfig{})
+	e.RegisterView("trials", m2)
+	ans, err := e.Answer(context.Background(), qav.EngineRequest{
+		Query:    qav.MustParseQuery("//Trials[//Status]//Trial/Patient"),
+		ViewName: "trials",
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	answers, err := m2.Answer(context.Background(), res.CRs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(answers) != 1 || answers[0].Text != "John Doe" {
+	if answers := ans.Exec.Nodes(); len(answers) != 1 || answers[0].Text != "John Doe" {
 		t.Fatalf("mediated answers = %v", answers)
 	}
 }

@@ -52,7 +52,7 @@ var servedBodies = []string{
 // measures), and primes every servedBodies key.
 func bootServed(tb testing.TB) (http.Handler, func()) {
 	tb.Helper()
-	r, _, stop := bootCluster(tb, 3, func(c *router.Config) { c.ProbeInterval = time.Hour })
+	r, _, _, stop := bootCluster(tb, 3, func(c *router.Config) { c.ProbeInterval = time.Hour })
 	waitFirstProbes(tb, r)
 	h := r.Handler()
 	for _, body := range servedBodies {

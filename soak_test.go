@@ -116,8 +116,8 @@ func TestSoakEndToEndPipeline(t *testing.T) {
 }
 
 // The facade functions compose: ship a view, serialize, read back,
-// rewrite against its expression and answer on the forest — sound
-// against direct evaluation by answer count.
+// rewrite against its expression and answer on the forest with a
+// compiled plan — sound against direct evaluation by answer count.
 func TestSoakShipMediateRandom(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test")
@@ -143,10 +143,19 @@ func TestSoakShipMediateRandom(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round trip: %v", err)
 		}
-		forestAnswers, err := m2.Answer(context.Background(), res.CRs)
+		pl, err := plan.Compile(context.Background(), rewrite.Compensations(res.CRs))
 		if err != nil {
 			t.Fatal(err)
 		}
+		f, err := m2.ForestIndex(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		exec, err := pl.Exec(context.Background(), f, plan.ExecOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		forestAnswers := exec.Matches
 		sourceAnswers, err := rewrite.AnswerUsingView(context.Background(), res.CRs, v, d)
 		if err != nil {
 			t.Fatal(err)
