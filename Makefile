@@ -2,7 +2,7 @@ GO ?= go
 QAVLINT := $(CURDIR)/bin/qavlint
 FUZZTIME ?= 10s
 
-.PHONY: all build test race lint lint-self qavlint fmt fuzz chaos cluster bench-check clean
+.PHONY: all build test race lint lint-self qavlint fmt fuzz chaos cluster bench-check nohttptest clean
 
 all: build test lint
 
@@ -57,6 +57,15 @@ cluster:
 # change could otherwise break bench/run.sh with the root suite green.
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# nohttptest fails if any binary under cmd/ links net/http/httptest:
+# the recorder and test server belong in tests, and the in-process
+# fabric (router.HandlerTransport) writes its own responses.
+nohttptest:
+	@bad=$$(for p in $$($(GO) list ./cmd/...); do \
+		$(GO) list -deps $$p | grep -qx 'net/http/httptest' && echo $$p; \
+	done); \
+	if [ -n "$$bad" ]; then echo "binaries linking net/http/httptest:"; echo "$$bad"; exit 1; fi
 
 # fuzz smoke-runs every fuzz target for FUZZTIME each.
 fuzz:

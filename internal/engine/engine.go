@@ -125,10 +125,15 @@ type Engine struct {
 	// plans caches compiled answer plans keyed by the canonical CR
 	// union (plan.KeyOf): plans are pure functions of the rewriting,
 	// so every request answering through the same MCR shares one.
-	plans   *cache.Cache[*plan.Plan]
-	views   *viewstore.Catalog
-	metrics *obs.Registry
-	slow    *obs.SlowLog
+	plans *cache.Cache[*plan.Plan]
+	// planKeys memoizes each cached rewriting's plan key: a hit returns
+	// the same immutable *rewrite.Result, so plan.KeyOf, which clones
+	// and canonicalizes every compensation, runs once per result rather
+	// than once per answer.
+	planKeys *cache.Memo[*rewrite.Result, string]
+	views    *viewstore.Catalog
+	metrics  *obs.Registry
+	slow     *obs.SlowLog
 	// intern shares parsed patterns and schemas across requests and
 	// collapses canonically identical request text before the cache.
 	intern *interner
@@ -167,12 +172,13 @@ func New(cfg Config) *Engine {
 		cache: cache.NewWithPolicy[*rewrite.Result](size, func(r *rewrite.Result) bool {
 			return r != nil && r.Partial
 		}),
-		plans:   cache.New[*plan.Plan](size),
-		views:   viewstore.NewCatalog(),
-		metrics: metrics,
-		slow:    obs.NewSlowLog(cfg.SlowQueryThreshold, cfg.SlowLogSize),
-		intern:  newInterner(4 * size),
-		schemas: make(map[string]*rewrite.SchemaContext),
+		plans:    cache.New[*plan.Plan](size),
+		planKeys: cache.NewMemo(planKeyMemoBytes, func(_ *rewrite.Result, key string) int { return len(key) }),
+		views:    viewstore.NewCatalog(),
+		metrics:  metrics,
+		slow:     obs.NewSlowLog(cfg.SlowQueryThreshold, cfg.SlowLogSize),
+		intern:   newInterner(4 * size),
+		schemas:  make(map[string]*rewrite.SchemaContext),
 	}
 	if cfg.CacheDir != "" {
 		p, err := cache.OpenPersist[*rewrite.Result](
@@ -591,20 +597,34 @@ type Answer struct {
 	Plan *plan.Plan
 }
 
-// planFor returns the compiled answer plan for the CR set, from the
+// planKeyMemoBytes bounds the plan keys Engine.planKeys holds (plus
+// cache.MemoEntryBytes each), a few hundred at typical key sizes. Every
+// entry pins its *rewrite.Result, evicted from the rewrite cache or
+// not, until the memo's next wholesale reset, so the bound on keys is
+// also the bound on the results they keep alive.
+const planKeyMemoBytes = 32 << 10
+
+// planFor returns the compiled answer plan for res's CR set, from the
 // plan cache: plans are pure functions of the canonical CR union, so
 // concurrent requests answering through the same MCR compile once
 // (singleflight) and share the artifact. Compile time is credited to
 // the plan.compile stage by the computing leader only — a hit stays a
-// lock and a map probe.
-func (e *Engine) planFor(ctx context.Context, crs []*rewrite.ContainedRewriting) (*plan.Plan, error) {
-	comps := rewrite.Compensations(crs)
-	key, err := plan.KeyOf(comps)
-	if err != nil {
-		return nil, err
+// memo probe, a lock and a map probe.
+func (e *Engine) planFor(ctx context.Context, res *rewrite.Result) (*plan.Plan, error) {
+	key, ok := e.planKeys.Get(res)
+	if !ok {
+		var err error
+		if key, err = plan.KeyOf(rewrite.Compensations(res.CRs)); err != nil {
+			return nil, err
+		}
+		// A partial result is new on every request: its key would
+		// never be asked for again.
+		if !res.Partial {
+			e.planKeys.Put(res, key)
+		}
 	}
 	return e.plans.GetOrCompute(ctx, key, func() (*plan.Plan, error) {
-		return plan.Compile(ctx, comps)
+		return plan.Compile(ctx, rewrite.Compensations(res.CRs))
 	})
 }
 
@@ -615,9 +635,9 @@ func (e *Engine) planFor(ctx context.Context, crs []*rewrite.ContainedRewriting)
 // not the process) and admission control (indexing and execution scan
 // the forest, so they queue or shed under saturation like any other
 // compute; plan-cache lookups happen before the gate).
-func (e *Engine) answerPlan(ctx context.Context, crs []*rewrite.ContainedRewriting, index func(context.Context) (*plan.Forest, error)) (pl *plan.Plan, exec *plan.ExecResult, err error) {
+func (e *Engine) answerPlan(ctx context.Context, res *rewrite.Result, index func(context.Context) (*plan.Forest, error)) (pl *plan.Plan, exec *plan.ExecResult, err error) {
 	defer guard.Recover(&err, "engine.answer")
-	pl, err = e.planFor(ctx, crs)
+	pl, err = e.planFor(ctx, res)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -681,7 +701,7 @@ func (e *Engine) Answer(ctx context.Context, req Request) (*Answer, error) {
 	}
 	sp := obs.NewSpan()
 	start := time.Now()
-	pl, exec, err := e.answerPlan(obs.WithSpan(ctx, sp), res.CRs, index)
+	pl, exec, err := e.answerPlan(obs.WithSpan(ctx, sp), res, index)
 	e.observe(obs.SlowEntry{Op: names.OpAnswer}, req, sp, time.Since(start), err)
 	if err != nil {
 		return nil, err

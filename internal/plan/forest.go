@@ -30,8 +30,8 @@ type window struct {
 // node's proper descendants are exactly the positions (p, end[p]].
 // The index is a set of int32 columns over positions plus sorted
 // per-tag position lists; programs compiled by Compile join those lists
-// (see Plan.Exec) and return their answers as positions, whose nodes
-// and paths the forest resolves (Node, PathID, AppendPath).
+// (see Plan.Exec) and return their answers as positions, whose nodes,
+// paths and texts the forest resolves (Node, PathID, AppendPath, Text).
 type Forest struct {
 	// parent is the position of a node's parent within the same
 	// window, or -1 for a window root; end is the last position of its
@@ -41,6 +41,14 @@ type Forest struct {
 	path   []int32
 	// nodes resolves a position to its document node.
 	nodes []*xmltree.Node
+	// texts holds every position's text back to back, in one
+	// pointer-free slab: position p's text is
+	// texts[textOff[p]:textOff[p+1]]. Bit p of plainText is set when
+	// that text needs no escaping in a JSON string (JSONPlain), decided
+	// once here rather than per answer.
+	texts     []byte
+	textOff   []int32
+	plainText []uint64
 	// paths interns the root-to-node tag paths of the positions (a
 	// DataGuide over the forest). A path is stored as its parent path
 	// plus its last tag, so the table grows with the distinct paths,
@@ -111,6 +119,13 @@ func (f *Forest) AppendPath(b []byte, id int32) []byte {
 	return b
 }
 
+// Text returns position p's text, as its node's Text, and whether
+// encoding/json writes it into a JSON string unescaped (JSONPlain). The
+// bytes alias the forest's text column: callers must not modify them.
+func (f *Forest) Text(p int32) (text []byte, plain bool) {
+	return f.texts[f.textOff[p]:f.textOff[p+1]], f.plainText[p>>6]&(1<<(p&63)) != 0
+}
+
 // resolve maps positions to their document nodes.
 func (f *Forest) resolve(pos []int32) []*xmltree.Node {
 	if len(pos) == 0 {
@@ -169,32 +184,42 @@ func IndexDocument(ctx context.Context, d *xmltree.Document) (*Forest, error) {
 	return indexTrees(ctx, []window{{doc: d, root: d.Root}}, true)
 }
 
-// indexTrees sizes every column from the window lengths, fills the
-// columns, the interned path per position and a dense tag id per
-// position in one walk, then scatters the positions into per-tag lists
-// carved from one backing array, so the index allocates a constant
-// number of slices rather than growing one list per tag. A position's
-// path is found among its parent path's children by its tag, and the
-// path gives its tag id: the tag map is probed once per new path, not
-// once per node.
+// indexTrees sizes every column from the window lengths and text
+// sizes, fills the columns, the interned path, the text with its
+// JSONPlain bit and a dense tag id per position in one walk, then
+// scatters the positions into per-tag lists carved from one backing
+// array, so the index allocates a constant number of slices rather
+// than growing one list per tag. A position's path is found among its
+// parent path's children by its tag, and the path gives its tag id:
+// the tag map is probed once per new path, not once per node.
 func indexTrees(ctx context.Context, trees []window, shared bool) (*Forest, error) {
 	sp := obs.SpanFrom(ctx)
 	start := sp.Start()
 	defer sp.Observe(obs.StagePlanIndex, start)
-	total := 0
+	total, textBytes := 0, 0
 	for _, t := range trees {
-		total += len(t.doc.Window(t.root))
+		w := t.doc.Window(t.root)
+		total += len(w)
+		for _, n := range w {
+			textBytes += len(n.Text)
+		}
 	}
 	if total > math.MaxInt32 {
 		return nil, fmt.Errorf("plan: forest of %d nodes exceeds the position space", total)
 	}
+	if textBytes > math.MaxInt32 {
+		return nil, fmt.Errorf("plan: forest of %d text bytes exceeds the text column", textBytes)
+	}
 	f := &Forest{
-		parent: make([]int32, total),
-		end:    make([]int32, total),
-		path:   make([]int32, total),
-		nodes:  make([]*xmltree.Node, 0, total),
-		roots:  make([]int32, len(trees)),
-		shared: shared,
+		parent:    make([]int32, total),
+		end:       make([]int32, total),
+		path:      make([]int32, total),
+		nodes:     make([]*xmltree.Node, 0, total),
+		texts:     make([]byte, 0, textBytes),
+		textOff:   make([]int32, total+1),
+		plainText: make([]uint64, (total+63)/64),
+		roots:     make([]int32, len(trees)),
+		shared:    shared,
 	}
 	in := interner{f: f, kids: make([][]pathKid, 1)}
 	ids := make(map[string]int32)
@@ -212,6 +237,11 @@ func indexTrees(ctx context.Context, trees []window, shared bool) (*Forest, erro
 		for _, n := range t.doc.Window(t.root) {
 			p := int32(len(f.nodes))
 			f.nodes = append(f.nodes, n)
+			f.texts = append(f.texts, n.Text...)
+			f.textOff[p+1] = int32(len(f.texts))
+			if JSONPlain(n.Text) {
+				f.plainText[p>>6] |= 1 << (p & 63)
+			}
 			f.end[p] = base + int32(n.SubtreeEnd()-off)
 			f.parent[p] = -1
 			up := above
@@ -417,3 +447,26 @@ func (f *Forest) getScratch() *scratch {
 // putScratch returns sc to the pool. Only a run that returned normally
 // may: a panic mid-join can leave bits set.
 func (f *Forest) putScratch(sc *scratch) { f.scratch.Put(sc) }
+
+// jsonPlainByte marks the bytes encoding/json writes as themselves
+// inside a string: printable ASCII except the quote, the backslash and
+// the HTML-escaped <, > and &.
+var jsonPlainByte = func() (t [256]bool) {
+	for c := 0x20; c < 0x7f; c++ {
+		t[c] = true
+	}
+	t['"'], t['\\'], t['<'], t['>'], t['&'] = false, false, false, false, false
+	return t
+}()
+
+// JSONPlain reports whether encoding/json writes s into a JSON string
+// byte for byte, with no escaping. It is the one definition the
+// forest's text column and the /v1/answer encoder share.
+func JSONPlain[T string | []byte](s T) bool {
+	for i := 0; i < len(s); i++ {
+		if !jsonPlainByte[s[i]] {
+			return false
+		}
+	}
+	return true
+}

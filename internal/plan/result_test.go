@@ -2,6 +2,7 @@ package plan
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"slices"
 	"sync"
@@ -62,9 +63,12 @@ func hostileDoc() *xmltree.Document {
 	return xmltree.NewDocument(root)
 }
 
-func TestForestPathsMatchNodePaths(t *testing.T) {
+// hostileForests indexes d in every layout: shipped standalone trees
+// (d's clone among them), the whole document, nested windows, and
+// overlapping windows out of document order.
+func hostileForests(t *testing.T, d *xmltree.Document) map[string]*Forest {
+	t.Helper()
 	ctx := context.Background()
-	d := hostileDoc()
 	as := tpq.MustParse("//a").Evaluate(d)
 	if len(as) < 4 {
 		t.Fatalf("document has %d a nodes, want nested windows", len(as))
@@ -84,6 +88,7 @@ func TestForestPathsMatchNodePaths(t *testing.T) {
 		},
 		"empty": func() (*Forest, error) { return IndexDocument(ctx, nil) },
 	}
+	out := make(map[string]*Forest, len(forests))
 	for name, index := range forests {
 		f, err := index()
 		if err != nil {
@@ -92,7 +97,50 @@ func TestForestPathsMatchNodePaths(t *testing.T) {
 		if name != "empty" && f.Size() == 0 {
 			t.Fatalf("%s: empty forest", name)
 		}
+		out[name] = f
+	}
+	return out
+}
+
+func TestForestPathsMatchNodePaths(t *testing.T) {
+	for _, f := range hostileForests(t, hostileDoc()) {
 		checkPaths(t, f)
+	}
+}
+
+// hostileTexts are texts encoding/json must escape or rewrite, next to
+// plain and empty ones: quotes and backslashes, the HTML-escaped
+// characters, control characters and DEL, the JavaScript line
+// separators, non-ASCII text and invalid UTF-8.
+var hostileTexts = []string{
+	"", "plain", `say "hi"`, `back\slash`, "<script>", "a&b", "tab\there", "nl\nx",
+	"\x00\x01\x1f\x7f", "\u2028", "x\u2029y", "é", "\xff\xfe", "bad\xc3", "", "two words",
+}
+
+// TestForestTextsMatchNodeTexts demands that the text column read, at
+// every position of every layout, its node's text, and that its plain
+// bit be JSONPlain of that text, so that a text marked plain is one
+// encoding/json writes as it stands.
+func TestForestTextsMatchNodeTexts(t *testing.T) {
+	d := hostileDoc()
+	for i, n := range d.Nodes {
+		n.Text = hostileTexts[i%len(hostileTexts)]
+	}
+	for name, f := range hostileForests(t, d) {
+		for p := range f.nodes {
+			pos := int32(p)
+			text, plain := f.Text(pos)
+			want := f.Node(pos).Text
+			if string(text) != want {
+				t.Fatalf("%s: position %d: text column reads %q, node text %q", name, pos, text, want)
+			}
+			if plain != JSONPlain(want) {
+				t.Fatalf("%s: position %d: plain bit %v for %q", name, pos, plain, want)
+			}
+			if q, _ := json.Marshal(want); plain && string(q) != `"`+want+`"` {
+				t.Fatalf("%s: position %d: %q marked plain, but encoding/json writes %s", name, pos, want, q)
+			}
+		}
 	}
 }
 

@@ -691,10 +691,10 @@ func (r *Router) minSaturationWait() time.Duration {
 // has not answered after the hedge delay, a second attempt launches
 // and the first success wins. The winner comes back with its context
 // live, for the caller to stream and close; a loser's context is
-// cancelled the moment the winner is chosen, which is all net/http
-// needs to release the loser's unread body. The result channel is
-// buffered for both attempts so a loser's send never blocks a
-// goroutine (leaktest pins that).
+// cancelled the moment the winner is chosen, and its result is closed
+// when it arrives, so an unread body goes back to its transport. The
+// result channel is buffered for both attempts so a loser's send never
+// blocks a goroutine (leaktest pins that).
 func (r *Router) race(req *http.Request, body []byte, rep, hedgeRep *replica) *attemptResult {
 	results := make(chan *attemptResult, 2)
 	launch := func(target *replica) context.CancelFunc {
@@ -739,6 +739,14 @@ func (r *Router) race(req *http.Request, body []byte, rep, hedgeRep *replica) *a
 		} else {
 			cancel1()
 		}
+		// The loser may already hold a response: close it when it
+		// lands, so its body (a fabric buffer, say) is given back.
+		r.wg.Add(1)
+		go func() {
+			defer r.wg.Done()
+			defer guard.Rescue("router.loser", nil)
+			(<-results).close()
+		}()
 		return first
 	}
 	second := <-results

@@ -14,10 +14,12 @@ import (
 // answer positions: no response struct, no reflection, and no
 // per-answer path string. An answer's path comes from the forest's
 // interned path column, rendered as JSON once per distinct path and
-// copied for every later answer on it; its text comes from its node.
-// The bytes are exactly what encodeJSON renders for the fields
-// below (compact, encoding/json's HTML-safe string escaping, omitempty
-// on every field but union, programs and answers, answers null when
+// copied for every later answer on it; its text comes from the
+// forest's text column, whose JSONPlain bit was decided when the
+// forest was indexed, so no answer's node or text is inspected here.
+// The bytes are exactly what encodeJSON renders for the fields below
+// (compact, encoding/json's HTML-safe string escaping, omitempty on
+// every field but union, programs and answers, answers null when
 // empty, one trailing newline):
 //
 //	union              string
@@ -69,9 +71,9 @@ func appendAnswer(b []byte, ans *engine.Answer) []byte {
 				b = append(b, `},{"path":`...)
 			}
 			b = spans.appendPath(b, f, f.PathID(p))
-			if text := f.Node(p).Text; text != "" {
+			if text, plain := f.Text(p); len(text) > 0 {
 				b = append(b, `,"text":`...)
-				b = appendString(b, text)
+				b = appendQuoted(b, text, plain)
 			}
 		}
 		b = append(b, "}]"...)
@@ -103,35 +105,21 @@ func appendIntField(b []byte, name string, v int) []byte {
 	return strconv.AppendInt(b, int64(v), 10)
 }
 
-// plainByte marks the bytes encoding/json writes as themselves inside a
-// string: printable ASCII except the quote, the backslash and the
-// HTML-escaped <, > and &.
-var plainByte = func() (t [256]bool) {
-	for c := 0x20; c < 0x7f; c++ {
-		t[c] = true
-	}
-	t['"'], t['\\'], t['<'], t['>'], t['&'] = false, false, false, false, false
-	return t
-}()
-
-func plain[T string | []byte](s T) bool {
-	for i := 0; i < len(s); i++ {
-		if !plainByte[s[i]] {
-			return false
-		}
-	}
-	return true
+// appendString appends s as a JSON string.
+func appendString(b []byte, s string) []byte {
+	return appendQuoted(b, s, plan.JSONPlain(s))
 }
 
-// appendString appends s as a JSON string; any string that needs
-// escaping goes through json.Marshal, which defines the escaping.
-func appendString(b []byte, s string) []byte {
-	if plain(s) {
+// appendQuoted appends s as a JSON string, where plain is
+// plan.JSONPlain(s): a plain string is quoted as it stands, and any
+// other goes through json.Marshal, which defines the escaping.
+func appendQuoted[T string | []byte](b []byte, s T, plain bool) []byte {
+	if plain {
 		b = append(b, '"')
 		b = append(b, s...)
 		return append(b, '"')
 	}
-	q, _ := json.Marshal(s) // a string always marshals
+	q, _ := json.Marshal(string(s)) // a string always marshals
 	return append(b, q...)
 }
 
@@ -179,7 +167,7 @@ func (ps *pathSpans) appendPath(b []byte, f *plan.Forest, id int32) []byte {
 func appendPathString(b []byte, f *plan.Forest, id int32) []byte {
 	start := len(b)
 	b = f.AppendPath(append(b, '"'), id)
-	if plain(b[start+1:]) {
+	if plan.JSONPlain(b[start+1:]) {
 		return append(b, '"')
 	}
 	return appendString(b[:start], string(b[start+1:]))

@@ -246,8 +246,11 @@ func BenchmarkStoredPlanExec(b *testing.B) {
 // answer over the templates. The columnar forest's linear joins and the
 // one-pass answer encoder brought it from 2,448 to 69 on this 40-group
 // document (11,660 to 68 at the benchmark's 200 groups): the count no
-// longer grows with the forest or the answers.
-const storedAnswerMaxAllocs = 100
+// longer grows with the forest or the answers. Computing the plan key
+// once per cached rewriting, not once per answer, brought it from 60
+// to 42 (46 to 47 under the race detector, whose sync.Pool drops add
+// a few).
+const storedAnswerMaxAllocs = 50
 
 func TestStoredAnswerAllocs(t *testing.T) {
 	h := bootStored(t, 40)
@@ -367,7 +370,9 @@ func TestRoutedAnswerBytes(t *testing.T) {
 // nor the encoder allocates a pointer slice per answer set any more:
 // that brought the figure from 6,814 to 3,913 bytes (3,961 under the
 // race detector), and a per-answer slice coming back breaks the bound.
-const storedAnswerMaxBytes = 5 << 10
+// The plan key computed once per cached rewriting brought it from
+// 3,045 to 2,432 (2,448 under the race detector).
+const storedAnswerMaxBytes = 3 << 10
 
 // discardWriter is a ResponseWriter that keeps only the status: the
 // body is written from the replica's pooled buffer and dropped, so a
