@@ -2,7 +2,7 @@ GO ?= go
 QAVLINT := $(CURDIR)/bin/qavlint
 FUZZTIME ?= 10s
 
-.PHONY: all build test race lint lint-self qavlint fmt fuzz chaos cluster bench-check nohttptest clean
+.PHONY: all build test race cpu lint lint-self qavlint fmt fuzz chaos cluster bench-check nohttptest clean
 
 all: build test lint
 
@@ -14,6 +14,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# cpu runs the packages whose work splits serial-versus-pooled on
+# GOMAXPROCS (the MCR pipeline and worker loop, plan execution) at 1
+# and 2, so both sides run whatever the machine's core count.
+cpu:
+	$(GO) test -race -cpu 1,2 ./internal/rewrite ./internal/plan
 
 # qavlint builds the analyzer suite binary into ./bin.
 qavlint:

@@ -84,10 +84,17 @@ func Intelligent(v, q *tpq.Pattern, sigma *constraints.Set) *tpq.Pattern {
 	applyPC(out, sigma)
 	applyFC(out, sigma)
 
-	// Tags the query needs.
+	// Tags the query needs. The loop below applies their constraints in
+	// query preorder, one node per tag (filtered in place in the fresh
+	// slice Nodes returns), never in a map's order.
 	want := make(map[string]bool)
-	for _, n := range q.Nodes() {
-		want[n.Tag] = true
+	nodes := q.Nodes()
+	wanted := nodes[:0]
+	for _, n := range nodes {
+		if !want[n.Tag] {
+			want[n.Tag] = true
+			wanted = append(wanted, n)
+		}
 	}
 	for {
 		have := make(map[string]bool)
@@ -95,11 +102,11 @@ func Intelligent(v, q *tpq.Pattern, sigma *constraints.Set) *tpq.Pattern {
 			have[n.Tag] = true
 		}
 		added := 0
-		for tag := range want {
-			if have[tag] {
+		for _, w := range wanted {
+			if have[w.Tag] {
 				continue
 			}
-			for _, c := range sigma.Introducing(tag) {
+			for _, c := range sigma.Introducing(w.Tag) {
 				n := applyOne(out, c)
 				added += n
 				if n > 0 {

@@ -326,3 +326,24 @@ func TestChasePreservesValidity(t *testing.T) {
 		}
 	}
 }
+
+// TestIntelligentDeterministic checks that the intelligent chase of a
+// view against a query is one pattern, however often it runs: the
+// order in which it introduces the query's missing tags decides which
+// constraint instances it applies, and the labels, embeddings and CRs
+// of the §5 rewriting are computed over its result.
+func TestIntelligentDeterministic(t *testing.T) {
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := workload.RandomDAGSchema(rng, 3+rng.Intn(5), 0.45)
+		sigma := constraints.Infer(g)
+		q := workload.RandomSchemaPattern(rng, g, 5)
+		v := workload.RandomSchemaPattern(rng, g, 4)
+		first := Intelligent(v, q, sigma).String()
+		for i := 0; i < 20; i++ {
+			if again := Intelligent(v, q, sigma).String(); again != first {
+				t.Fatalf("seed %d: chase of %s against %s gave %s, then %s", seed, v, q, first, again)
+			}
+		}
+	}
+}

@@ -29,8 +29,8 @@ type ContainedRewriting struct {
 }
 
 // ensureCompensation fills Compensation for a CR built by
-// buildUnchecked. The result assemblies call it on the CRs they keep,
-// so CRs dropped as duplicates, as redundant or by the schema's
+// buildUnchecked. assemble calls it on the CRs it keeps, so CRs
+// dropped as duplicates, as redundant or by the schema's
 // satisfiability filter never pay for the extraction; every CR that
 // reaches a Result or a MultiViewResult carries its compensation.
 func (cr *ContainedRewriting) ensureCompensation() {
@@ -90,9 +90,9 @@ func (cr *ContainedRewriting) VerifyContained(q *tpq.Pattern) bool {
 // nodes f maps — never on where f maps them. Embeddings sharing a
 // domain therefore induce the identical rewriting, and only the first
 // of each domain in enumeration order is built and verified. That first
-// one is also the embedding the structural dedup of the assemblies
-// would have kept, so the kept CRs and their representative embeddings
-// are those of building every embedding.
+// one is also the embedding the structural dedup of assemble would have
+// kept, so the kept CRs and their representative embeddings are those
+// of building every embedding.
 //
 // fresh holds the per-enumeration domain set and must be called from
 // one goroutine; build only reads the crGen and may run concurrently.

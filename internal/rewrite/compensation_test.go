@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"qav/internal/schema"
+	"qav/internal/tpq"
 	"qav/internal/workload"
 )
 
@@ -36,8 +37,10 @@ func deadlineAfter(n int) context.Context {
 // MultiViewResult carries its compensation, for every entry point and
 // for their Partial results at the embedding budget and the deadline:
 // the generators build CRs without compensations and leave their
-// extraction to the assemblies, and AnswerMultiView and plan.Compile
-// read the field without a nil check.
+// extraction to assemble, and AnswerMultiView and plan.Compile read the
+// field without a nil check. Its deadline sweeps also hold every entry
+// point to the one Partial rule: a deadline never fails the call, and a
+// result not marked Partial is the whole undeadlined union.
 func TestCompensationPresent(t *testing.T) {
 	partials := make(map[string]int) // partial results with CRs, by entry point and reason
 	check := func(what string, crs []*ContainedRewriting, reason PartialReason) {
@@ -49,6 +52,17 @@ func TestCompensationPresent(t *testing.T) {
 		}
 		if reason != "" && len(crs) > 0 {
 			partials[what+" "+string(reason)]++
+		}
+	}
+	// complete checks a deadline-swept run against the undeadlined
+	// union: no error, and the same union unless marked Partial.
+	complete := func(what string, k int, err error, partial bool, got, want *tpq.Union) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s deadline after %d polls: %v", what, k, err)
+		}
+		if !partial && got.String() != want.String() {
+			t.Fatalf("%s deadline after %d polls: complete union %s, undeadlined %s", what, k, got, want)
 		}
 	}
 
@@ -67,11 +81,16 @@ func TestCompensationPresent(t *testing.T) {
 	// the worker pool; the deadline lands at every poll in turn.
 	for _, n := range []int{3, 6} {
 		q, v := workload.Fig8Query(n), workload.Fig8View()
+		full, err := MCR(q, v, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		for k := 0; k < 40; k++ {
 			res, err := MCR(q, v, Options{Context: deadlineAfter(k)})
-			if err != nil {
-				t.Fatalf("MCR fig8 n=%d deadline after %d polls: %v", n, k, err)
+			if res == nil {
+				res = &Result{}
 			}
+			complete(fmt.Sprintf("MCR fig8 n=%d", n), k, err, res.Partial, res.Union, full.Union)
 			check("MCR", res.CRs, res.PartialReason)
 		}
 	}
@@ -105,11 +124,16 @@ d ->
 		}
 		check("MCRRecursive", res.CRs, res.PartialReason)
 	}
+	full, err := sc.MCRRecursive(q, v, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for k := 0; k < 20; k++ {
 		res, err := sc.MCRRecursive(q, v, Options{Context: deadlineAfter(k)})
-		if err != nil {
-			t.Fatalf("MCRRecursive deadline after %d polls: %v", k, err)
+		if res == nil {
+			res = &Result{}
 		}
+		complete("MCRRecursive", k, err, res.Partial, res.Union, full.Union)
 		check("MCRRecursive", res.CRs, res.PartialReason)
 	}
 
@@ -127,19 +151,24 @@ d ->
 			}
 			check("MCRMultiView", res.CRs, res.PartialReason)
 		}
-		// An expired deadline either fails the run or leaves a sound
-		// partial union; whatever comes back must be complete CRs.
+		full, err := MCRMultiView(q, views, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		for k := 0; k < 6; k++ {
-			if res, err := MCRMultiView(q, views, Options{Context: deadlineAfter(k)}); err == nil {
-				check("MCRMultiView", res.CRs, res.PartialReason)
+			res, err := MCRMultiView(q, views, Options{Context: deadlineAfter(k)})
+			if res == nil {
+				res = &MultiViewResult{}
 			}
+			complete(fmt.Sprintf("MCRMultiView q=%s", q), k, err, res.Partial, res.Union, full.Union)
+			check("MCRMultiView", res.CRs, res.PartialReason)
 		}
 	}
 
 	for _, want := range []string{
 		"MCR budget", "MCR deadline",
 		"MCRRecursive budget", "MCRRecursive deadline",
-		"MCRMultiView budget",
+		"MCRMultiView budget", "MCRMultiView deadline",
 	} {
 		if partials[want] == 0 {
 			t.Errorf("no %s partial result with CRs was exercised", want)

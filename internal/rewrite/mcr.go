@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"qav/internal/chase"
 	"qav/internal/fault"
 	"qav/internal/guard"
 	"qav/internal/names"
@@ -131,8 +132,21 @@ func partialReason(err error) PartialReason {
 // construction overlaps enumeration across a bounded worker pool.
 // Results are identical to the serial order.
 func MCR(q, v *tpq.Pattern, opts Options) (*Result, error) {
+	return mcr(q, v, nil, opts)
+}
+
+// errWildcard rejects patterns outside the algorithms' fragment.
+var errWildcard = errors.New("rewrite: wildcard patterns are outside XP{/,//,[]}; the MCR algorithms do not support them")
+
+// mcr is the body MCR (sc nil) and MCRRecursive share: label the
+// useful embeddings of q into v — under a schema, into the view chased
+// against q, with the schema's graft cut — stream them through
+// generateCRs, and assemble the union under plain or schema-relative
+// containment. Budget and deadline overruns degrade into a Partial
+// result (assemble).
+func mcr(q, v *tpq.Pattern, sc *SchemaContext, opts Options) (*Result, error) {
 	if q.HasWildcard() || v.HasWildcard() {
-		return nil, fmt.Errorf("rewrite: wildcard patterns are outside XP{/,//,[]}; the MCR algorithms do not support them")
+		return nil, errWildcard
 	}
 	limit := opts.MaxEmbeddings
 	if limit <= 0 {
@@ -140,33 +154,30 @@ func MCR(q, v *tpq.Pattern, opts Options) (*Result, error) {
 	}
 	ctx := opts.ctx()
 	sp := obs.SpanFrom(ctx)
+	target, cut, contained := v, CutCheck(nil), tpq.Contained
+	if sc != nil {
+		if !sc.Schema.Satisfiable(v) || !sc.Schema.Satisfiable(q) {
+			return &Result{Union: &tpq.Union{}}, nil
+		}
+		t := sp.Start()
+		target = chase.Intelligent(v, q, sc.Sigma)
+		sp.Observe(obs.StageChase, t)
+		cut, contained = sc.graftCut(target.Output.Tag), sc.SContained
+	}
 	t := sp.Start()
-	labels := ComputeLabels(q, v, nil)
+	labels := ComputeLabels(q, target, cut)
 	sp.Observe(obs.StageEnumerate, t)
 	if !labels.Exists() {
 		return &Result{Union: &tpq.Union{}}, nil
 	}
-	crs, considered, err := generateCRs(ctx, labels, q, v, limit)
-	if err != nil {
-		if reason := partialReason(err); reason != "" {
-			// Graceful degradation: the CRs built before the wall are
-			// each verified contained in q, so their union is a sound
-			// (possibly non-maximal) rewriting — return it instead of
-			// failing the request.
-			return assemblePartial(crs, considered, reason), nil
-		}
+	// The CRs are built against the original view: the compensation
+	// runs on the real materialization (Example 3).
+	crs, considered, err := generateCRs(ctx, labels, newCRGen(ctx, q, v, sc), limit)
+	reason := partialReason(err)
+	if err != nil && reason == "" {
 		return nil, err
 	}
-	res, err := assembleResult(ctx, crs, considered)
-	if err != nil {
-		if reason := partialReason(err); reason != "" {
-			// The deadline fired inside redundancy elimination: fall
-			// back to the dedup-only partial union.
-			return assemblePartial(crs, considered, reason), nil
-		}
-		return nil, err
-	}
-	return res, nil
+	return assemble(ctx, crs, considered, contained, reason)
 }
 
 // crPipelineBatch is the streaming pipeline's serial threshold: an
@@ -188,28 +199,28 @@ type seqCR struct {
 }
 
 // generateCRs fuses embedding enumeration with CR construction and
-// containment verification, one CR per embedding domain (crGen):
-// every embedding is validated and counted as the enumeration emits it,
-// and only the first of each domain goes on to be built. The first
+// containment verification, one CR per embedding domain (g): every
+// embedding is validated and counted as the enumeration emits it, and
+// only the first of each domain goes on to be built. A CR that g drops
+// (under a schema, an unsatisfiable one) is left out. The first
 // crPipelineBatch of those are buffered: a short stream is then handled
 // serially, while a longer one starts GOMAXPROCS workers that build and
 // verify CRs concurrently with the ongoing enumeration, over a bounded
 // channel. Output order (and thus every downstream result, including
 // which embedding represents a structurally duplicated CR) matches the
-// serial enumeration order. The CRs carry no compensation yet; the
-// assemblies extract it for the CRs they keep.
+// serial enumeration order. The CRs carry no compensation yet;
+// assemble extracts it for the CRs it keeps.
 //
 // Partial contract: when the returned error is an embedding-budget
 // overrun or context.DeadlineExceeded, the returned CRs are the sound
 // subset completed before the wall (each verified contained in q) and
 // the caller may degrade into a Partial result. On any other error the
 // CR slice is nil.
-func generateCRs(ctx context.Context, labels *Labeling, q, v *tpq.Pattern, limit int) ([]*ContainedRewriting, int, error) {
+func generateCRs(ctx context.Context, labels *Labeling, g *crGen, limit int) ([]*ContainedRewriting, int, error) {
 	// Stage accounting: a nil span costs a nil check per credit and no
 	// clock reads. Span credits are atomic, so the parallel workers
 	// below record into it directly.
 	sp := obs.SpanFrom(ctx)
-	g := newCRGen(ctx, q, v, nil)
 
 	pctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -248,6 +259,9 @@ func generateCRs(ctx context.Context, labels *Labeling, q, v *tpq.Pattern, limit
 			cr, err := g.build(e.f)
 			if err != nil {
 				fail(err)
+				continue
+			}
+			if cr == nil {
 				continue
 			}
 			mu.Lock()
@@ -315,9 +329,13 @@ func generateCRs(ctx context.Context, labels *Labeling, q, v *tpq.Pattern, limit
 			// On a budget/deadline overrun, still finish the buffered
 			// prefix (bounded: at most crPipelineBatch items) so the
 			// partial union is as large as the enumeration allowed; a
-			// live stream keeps honoring ctx per item.
+			// live stream keeps honoring ctx per item, and a deadline
+			// keeps the CRs finished before it.
 			if streamErr == nil {
 				if err := ctx.Err(); err != nil {
+					if partialReason(err) != "" {
+						return crs, considered, err
+					}
 					return nil, 0, err
 				}
 			}
@@ -325,7 +343,9 @@ func generateCRs(ctx context.Context, labels *Labeling, q, v *tpq.Pattern, limit
 			if err != nil {
 				return nil, 0, err
 			}
-			crs = append(crs, cr)
+			if cr != nil {
+				crs = append(crs, cr)
+			}
 		}
 		return crs, considered, streamErr
 	}
@@ -365,81 +385,64 @@ func generateCRs(ctx context.Context, labels *Labeling, q, v *tpq.Pattern, limit
 	return collect(), considered, nil
 }
 
-// assemblePartial packages the CRs completed before a budget or
-// deadline wall into a Partial result: structural dedup and the
-// deterministic smallest-first order only, skipping the quadratic
-// redundancy-elimination matrix — exactly the work the wall is
-// protecting against. Every CR was individually verified contained in
-// the query, so the union is sound; it just may not be maximal and may
-// contain overlapping disjuncts.
-func assemblePartial(crs []*ContainedRewriting, considered int, reason PartialReason) *Result {
+// assemble is the one tail of every MCR entry point: by Lemma 1 the
+// MCR is the irredundant union of the verified CRs. It deduplicates the
+// CRs by canonical form (the first of each form wins, so the
+// representative embedding is the earliest one), orders them smallest
+// first (sortCRs) and, unless reason already marks the result Partial,
+// drops every CR contained in another under contained — plain or
+// schema-relative — through markRedundant, credited to the contain
+// stage. A budget or deadline overrun there sets reason instead of
+// failing. The kept CRs get their compensations, and the union is
+// built from them.
+//
+// One rule holds for every entry point: a Partial result is
+// deduplicated and ordered only — the quadratic containment matrix is
+// exactly the work the wall protects against, so its disjuncts may
+// overlap — and a complete result is irredundant. Every CR was verified
+// contained in the query on its own, so either union is sound.
+func assemble(ctx context.Context, crs []*ContainedRewriting, considered int, contained func(a, b *tpq.Pattern) bool, reason PartialReason) (*Result, error) {
 	seen := make(map[string]bool, len(crs))
-	kept := make([]*ContainedRewriting, 0, len(crs))
+	uniq := make([]*ContainedRewriting, 0, len(crs))
 	for _, cr := range crs {
-		key := cr.Rewriting.Canonical()
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		kept = append(kept, cr)
-	}
-	sortCRs(kept)
-	u := &tpq.Union{}
-	for _, cr := range kept {
-		cr.ensureCompensation()
-		u.Patterns = append(u.Patterns, cr.Rewriting)
-	}
-	return &Result{
-		Union:                u,
-		CRs:                  kept,
-		EmbeddingsConsidered: considered,
-		Partial:              true,
-		PartialReason:        reason,
-	}
-}
-
-// assembleResult deduplicates CRs structurally, removes redundant ones
-// (contained in another CR), and packages the union. Redundancy
-// elimination is quadratic in the number of CRs — the dominating cost
-// when the MCR is exponential — so it honors ctx cancellation.
-func assembleResult(ctx context.Context, crs []*ContainedRewriting, considered int) (*Result, error) {
-	// Structural dedup first: different embeddings frequently induce
-	// identical rewritings after grafting.
-	seen := make(map[string]*ContainedRewriting)
-	var uniq []*ContainedRewriting
-	for _, cr := range crs {
-		key := cr.Rewriting.Canonical()
-		if seen[key] == nil {
-			seen[key] = cr
+		if key := cr.Rewriting.Canonical(); !seen[key] {
+			seen[key] = true
 			uniq = append(uniq, cr)
 		}
 	}
-	// Order smallest-first so that equivalence classes keep their most
-	// compact representative.
 	sortCRs(uniq)
-	// Redundancy elimination: drop CRs strictly contained in another,
-	// and keep one representative per equivalence class. This quadratic
-	// containment matrix is the dominating phase on exponential MCRs, so
-	// it is credited to the contain stage.
-	sp := obs.SpanFrom(ctx)
-	t := sp.Start()
-	kept := make([]*ContainedRewriting, 0, len(uniq))
-	redundant, err := markRedundant(ctx, len(uniq), func(i, j int) bool {
-		return tpq.Contained(uniq[i].Rewriting, uniq[j].Rewriting)
-	})
-	sp.Observe(obs.StageContain, t)
-	if err != nil {
-		return nil, err
-	}
-	u := &tpq.Union{}
-	for i, cr := range uniq {
-		if !redundant[i] {
-			cr.ensureCompensation()
-			kept = append(kept, cr)
-			u.Patterns = append(u.Patterns, cr.Rewriting)
+	var redundant []bool
+	if reason == "" && len(uniq) > 1 {
+		sp := obs.SpanFrom(ctx)
+		t := sp.Start()
+		var err error
+		redundant, err = markRedundant(ctx, len(uniq), func(i, j int) bool {
+			return contained(uniq[i].Rewriting, uniq[j].Rewriting)
+		})
+		sp.Observe(obs.StageContain, t)
+		if reason = partialReason(err); err != nil && reason == "" {
+			return nil, err
 		}
 	}
-	return &Result{Union: u, CRs: kept, EmbeddingsConsidered: considered}, nil
+	res := &Result{
+		Union:                &tpq.Union{Patterns: make([]*tpq.Pattern, 0, len(uniq))},
+		CRs:                  uniq[:0],
+		EmbeddingsConsidered: considered,
+		Partial:              reason != "",
+		PartialReason:        reason,
+	}
+	for i, cr := range uniq {
+		if i < len(redundant) && redundant[i] {
+			continue
+		}
+		cr.ensureCompensation()
+		res.CRs = append(res.CRs, cr)
+		res.Union.Patterns = append(res.Union.Patterns, cr.Rewriting)
+	}
+	// The kept CRs were filtered into uniq's own array: clear its tail,
+	// or a cached result would keep every dropped CR reachable.
+	clear(uniq[len(res.CRs):])
+	return res, nil
 }
 
 // NaiveMCR is the brute-force baseline used as ground truth in tests
@@ -561,47 +564,69 @@ func NaiveMCR(ctx context.Context, q, v *tpq.Pattern) (*Result, error) {
 	if err := rec(0); err != nil {
 		return nil, err
 	}
-	return assembleResult(ctx, crs, considered)
+	res, err := assemble(ctx, crs, considered, tpq.Contained, "")
+	if err == nil && res.Partial {
+		// The oracle never degrades: the deadline that cut redundancy
+		// elimination short is its error.
+		return nil, context.DeadlineExceeded
+	}
+	return res, err
 }
 
 // markRedundant computes, for each CR index, whether it is strictly
 // contained in another CR or equivalent to an earlier one. The
 // criterion is order-independent (containment is transitive, so a
 // witness that is itself redundant always leads to an irredundant one),
-// which lets the quadratic containment matrix run in parallel — the
-// dominating cost when the MCR is exponential (§3.2). Workers poll ctx
-// between rows, so cancellation aborts the matrix promptly.
+// which lets the quadratic containment matrix run its rows in parallel
+// (forEach) — the dominating cost when the MCR is exponential (§3.2).
 func markRedundant(ctx context.Context, n int, contains func(i, j int) bool) ([]bool, error) {
 	redundant := make([]bool, n)
-	mark := func(i int) {
+	err := forEach(ctx, n, 32, "rewrite.markRedundant", func(i int) error {
+		if i&31 == 0 {
+			if err := faultContain.Hit(ctx); err != nil {
+				return err
+			}
+		}
 		for j := 0; j < n; j++ {
 			if i == j || !contains(i, j) {
 				continue
 			}
-			if !contains(j, i) {
-				redundant[i] = true // strictly contained in j
-				return
-			}
-			if j < i {
-				redundant[i] = true // equivalent; keep the earlier one
-				return
+			// Strictly contained in j, or equivalent to the earlier j.
+			if !contains(j, i) || j < i {
+				redundant[i] = true
+				return nil
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if n < 32 || workers <= 1 {
+	return redundant, nil
+}
+
+// forEach runs do(i) for every i in [0, n), each item writing only its
+// own output. Below serialBelow items, or with one P, it runs them in
+// index order on the calling goroutine; otherwise up to GOMAXPROCS
+// workers claim indexes through an atomic counter. ctx is polled before
+// every item. The first failure stops the loop (on the pooled side by
+// pushing the counter past n) and is returned: ctx's error, an error
+// from do, or a panic in do, which becomes an ErrInternal named op on
+// either side, so a bug fails the call the same way whatever GOMAXPROCS
+// is.
+func forEach(ctx context.Context, n, serialBelow int, op string, do func(i int) error) (err error) {
+	workers := min(runtime.GOMAXPROCS(0), n)
+	if n < serialBelow || workers <= 1 {
+		defer guard.Recover(&err, op)
 		for i := 0; i < n; i++ {
-			if i&31 == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				if err := faultContain.Hit(ctx); err != nil {
-					return nil, err
-				}
+			if err := ctx.Err(); err != nil {
+				return err
 			}
-			mark(i)
+			if err := do(i); err != nil {
+				return err
+			}
 		}
-		return redundant, nil
+		return nil
 	}
 	var (
 		wg   sync.WaitGroup
@@ -615,46 +640,29 @@ func markRedundant(ctx context.Context, n int, contains func(i, j int) bool) ([]
 			werr = err
 		}
 		mu.Unlock()
+		next.Store(int64(n))
 	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// A panic in a containment check must fail the request, not
-			// kill the process; remaining workers notice werr and stop.
-			defer guard.Rescue("rewrite.markRedundant", fail)
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || ctx.Err() != nil {
+			defer guard.Rescue(op, fail)
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				if err := ctx.Err(); err != nil {
+					fail(err)
 					return
 				}
-				mu.Lock()
-				stop := werr != nil
-				mu.Unlock()
-				if stop {
+				if err := do(i); err != nil {
+					fail(err)
 					return
 				}
-				if i&31 == 0 {
-					if err := faultContain.Hit(ctx); err != nil {
-						fail(err)
-						return
-					}
-				}
-				mark(i)
 			}
 		}()
 	}
 	wg.Wait()
 	mu.Lock()
-	err := werr
-	mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return redundant, nil
+	defer mu.Unlock()
+	return werr
 }
 
 // sortCRs orders rewritings by size then canonical form, so redundancy
@@ -668,14 +676,6 @@ func sortCRs(crs []*ContainedRewriting) {
 		}
 		return crs[i].Rewriting.Canonical() < crs[j].Rewriting.Canonical()
 	})
-}
-
-func copyMap(m map[*tpq.Node]*tpq.Node) map[*tpq.Node]*tpq.Node {
-	cp := make(map[*tpq.Node]*tpq.Node, len(m))
-	for k, v := range m {
-		cp[k] = v
-	}
-	return cp
 }
 
 // buildUnchecked constructs the graft-at-dV rewriting for any partial

@@ -48,9 +48,68 @@ func referenceMCR(q, v *tpq.Pattern, limit int) (*Result, error) {
 		crs = append(crs, cr)
 	}
 	if err != nil {
-		return assemblePartial(crs, len(embs), PartialBudget), nil
+		return refAssemblePartial(crs, len(embs), PartialBudget), nil
 	}
-	return assembleResult(ctx, crs, len(embs))
+	return refAssembleResult(ctx, crs, len(embs), tpq.Contained)
+}
+
+// refAssemblePartial and refAssembleResult are the frozen assemblies the
+// production code had before one function (assemble) took over every
+// entry point's tail. The reference paths assemble through them, so the
+// differential tests pin assemble too.
+func refAssemblePartial(crs []*ContainedRewriting, considered int, reason PartialReason) *Result {
+	seen := make(map[string]bool, len(crs))
+	kept := make([]*ContainedRewriting, 0, len(crs))
+	for _, cr := range crs {
+		key := cr.Rewriting.Canonical()
+		if seen[key] {
+			continue
+		}
+		seen[key] = true
+		kept = append(kept, cr)
+	}
+	sortCRs(kept)
+	u := &tpq.Union{}
+	for _, cr := range kept {
+		cr.ensureCompensation()
+		u.Patterns = append(u.Patterns, cr.Rewriting)
+	}
+	return &Result{
+		Union:                u,
+		CRs:                  kept,
+		EmbeddingsConsidered: considered,
+		Partial:              true,
+		PartialReason:        reason,
+	}
+}
+
+func refAssembleResult(ctx context.Context, crs []*ContainedRewriting, considered int, contained func(a, b *tpq.Pattern) bool) (*Result, error) {
+	seen := make(map[string]*ContainedRewriting)
+	var uniq []*ContainedRewriting
+	for _, cr := range crs {
+		key := cr.Rewriting.Canonical()
+		if seen[key] == nil {
+			seen[key] = cr
+			uniq = append(uniq, cr)
+		}
+	}
+	sortCRs(uniq)
+	kept := make([]*ContainedRewriting, 0, len(uniq))
+	redundant, err := markRedundant(ctx, len(uniq), func(i, j int) bool {
+		return contained(uniq[i].Rewriting, uniq[j].Rewriting)
+	})
+	if err != nil {
+		return nil, err
+	}
+	u := &tpq.Union{}
+	for i, cr := range uniq {
+		if !redundant[i] {
+			cr.ensureCompensation()
+			kept = append(kept, cr)
+			u.Patterns = append(u.Patterns, cr.Rewriting)
+		}
+	}
+	return &Result{Union: u, CRs: kept, EmbeddingsConsidered: considered}, nil
 }
 
 // sameCRs reports the first difference between two results' kept CRs,

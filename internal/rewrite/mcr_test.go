@@ -380,3 +380,41 @@ func TestMarkRedundantParallelAgreesWithSequential(t *testing.T) {
 		}
 	}
 }
+
+// TestAssembleDropsRedundantCRs checks that a result keeps no CR it
+// dropped reachable: assemble filters the kept CRs into the array it
+// deduplicated into, and a cached result holding that array's stale
+// tail would keep every redundant CR, with its rewriting and
+// embedding, alive for as long as the result is cached.
+func TestAssembleDropsRedundantCRs(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(5))
+	dropped := 0
+	for i := 0; i < 300; i++ {
+		q, v := composedKey(t, rng)
+		crs, considered, err := generateCRs(ctx, ComputeLabels(q, v, nil), newCRGen(ctx, q, v, nil), DefaultMaxEmbeddings)
+		if err != nil {
+			t.Fatal(err)
+		}
+		distinct := make(map[string]bool)
+		for _, cr := range crs {
+			distinct[cr.Rewriting.Canonical()] = true
+		}
+		res, err := assemble(ctx, crs, considered, tpq.Contained, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.CRs) < len(distinct) {
+			dropped++
+		}
+		for _, cr := range res.CRs[len(res.CRs):cap(res.CRs)] {
+			if cr != nil {
+				t.Fatalf("q=%s v=%s: dropped CR %s still reachable from the result", q, v, cr.Rewriting)
+			}
+		}
+	}
+	if dropped == 0 {
+		t.Fatal("no key had a redundant CR to drop")
+	}
+	t.Logf("%d of 300 keys dropped redundant CRs", dropped)
+}

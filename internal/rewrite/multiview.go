@@ -3,12 +3,8 @@ package rewrite
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
-	"qav/internal/guard"
 	"qav/internal/obs"
 	"qav/internal/plan"
 	"qav/internal/tpq"
@@ -49,11 +45,13 @@ type MultiViewResult struct {
 	// len(PerView)-Labeled views were classified in O(1) and at most
 	// synthesized the trivial CR.
 	Labeled int
-	// Partial reports that at least one view's enumeration stopped at
-	// the embedding budget or the context deadline: the union is a
-	// sound (every disjunct verified contained) but possibly
-	// non-maximal rewriting. PartialReason carries the first reason in
-	// view order.
+	// Partial reports that a view's enumeration stopped at the
+	// embedding budget or the context deadline, or that the deadline
+	// stopped the views not yet started or the global redundancy
+	// elimination: the union is sound (every disjunct verified
+	// contained), deduplicated and ordered, but possibly non-maximal
+	// and not irredundant, as for Result. PartialReason carries the
+	// first view's reason in view order, else "deadline".
 	Partial       bool
 	PartialReason PartialReason
 }
@@ -84,13 +82,14 @@ type viewCRs struct {
 //     all, and for a '//'-rooted query exactly the trivial CR (the
 //     whole query grafted below the view output), which is synthesized
 //     directly without labeling;
-//   - surviving candidates stream their per-view MCRs through a bounded
-//     worker pool, each worker reusing the shared query side and
-//     honoring the per-view embedding budget and the context's
-//     deadline;
-//   - redundancy elimination runs once, globally — equivalent to the
-//     baseline's per-view-then-global elimination because containment
-//     is transitive and markRedundant's criterion is order-independent.
+//   - surviving candidates stream their per-view CRs through the
+//     bounded worker loop (forEach), each worker reusing the shared
+//     query side and honoring the per-view embedding budget and the
+//     context's deadline; a panic in any view fails the call;
+//   - redundancy elimination runs once, globally (assemble) —
+//     equivalent to the baseline's per-view-then-global elimination
+//     because containment is transitive and markRedundant's criterion
+//     is order-independent.
 //
 // The result's Union, Contributions and CRs are identical to
 // MCRMultiViewRef's (pinned by differential tests); only the PerView
@@ -128,38 +127,34 @@ func MCRMultiView(q *tpq.Pattern, views []ViewSource, opts Options) (*MultiViewR
 	}
 	sp.Observe(obs.StageCatalogPrune, t)
 
-	// Per-view generation across a bounded worker pool. Each slot is
-	// written by exactly one worker; views are serial internally, so the
-	// per-view CR order is the serial enumeration order and the whole
-	// assembly below is deterministic.
+	// Per-view generation across the bounded worker loop. Each slot is
+	// written by the one worker that claims its view; views are serial
+	// internally, so the per-view CR order is the serial enumeration
+	// order and the assembly below is deterministic.
 	slots := make([]viewCRs, len(views))
-	process := func(i int) {
-		vs := views[i]
-		if wildcardQ || vs.View.HasWildcard() {
-			slots[i].err = fmt.Errorf("rewrite: wildcard patterns are outside XP{/,//,[]}; the MCR algorithms do not support them")
-			return
+	generate := func(i int, s *viewCRs) error {
+		v := views[i].View
+		if wildcardQ || v.HasWildcard() {
+			return errWildcard
 		}
 		if err := faultWorker.Hit(ctx); err != nil {
-			slots[i].err = err
-			return
+			return err
 		}
 		if !cand[i] {
 			if !emptyOK {
-				return // no nonempty embedding possible, no trivial CR
+				return nil // no nonempty embedding possible, no trivial CR
 			}
 			// Trivial CR only: synthesized directly, no labeling pass.
-			cr, err := newCRGen(ctx, q, vs.View, nil).next(&Embedding{Q: q, V: vs.View})
-			if err != nil {
-				slots[i].err = err
-				return
+			cr, err := newCRGen(ctx, q, v, nil).next(&Embedding{Q: q, V: v})
+			if err == nil {
+				s.crs = []*ContainedRewriting{cr}
 			}
-			slots[i].crs = []*ContainedRewriting{cr}
-			return
+			return err
 		}
 		tl := sp.Start()
-		labels := qs.LabelsFor(vs.View)
+		labels := qs.LabelsFor(v)
 		sp.Observe(obs.StageBatchChase, tl)
-		g := newCRGen(ctx, q, vs.View, nil)
+		g := newCRGen(ctx, q, v, nil)
 		seen := make(map[string]bool)
 		te := sp.Start()
 		err := labels.Stream(ctx, limit, func(f *Embedding) error {
@@ -167,124 +162,76 @@ func MCRMultiView(q *tpq.Pattern, views []ViewSource, opts Options) (*MultiViewR
 			if err != nil || cr == nil {
 				return err
 			}
-			key := cr.Rewriting.Canonical()
-			if seen[key] {
-				return nil
+			if key := cr.Rewriting.Canonical(); !seen[key] {
+				seen[key] = true
+				s.crs = append(s.crs, cr)
 			}
-			seen[key] = true
-			slots[i].crs = append(slots[i].crs, cr)
 			return nil
 		})
 		sp.Observe(obs.StageEnumerate, te)
-		if err != nil {
-			if reason := partialReason(err); reason != "" {
-				// Sound prefix: every collected CR is verified contained
-				// in q, so keep it and mark the view partial, mirroring
-				// MCR's graceful degradation.
-				slots[i].partial = reason
-				return
+		return err
+	}
+	err := forEach(ctx, len(views), 2, "rewrite.multiViewWorker", func(i int) error {
+		s := &slots[i]
+		// A budget or deadline overrun keeps the view's sound prefix:
+		// every collected CR is verified contained in q.
+		if err := generate(i, s); err != nil {
+			if s.partial = partialReason(err); s.partial == "" {
+				s.crs, s.err = nil, err
 			}
-			slots[i].crs = nil
-			slots[i].err = err
 		}
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(views) {
-		workers = len(views)
-	}
-	if workers <= 1 {
-		for i := range views {
-			if ctx.Err() != nil {
-				break
-			}
-			process(i)
-		}
-	} else {
-		var (
-			wg   sync.WaitGroup
-			next atomic.Int64
-		)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				// A panic processing one view must fail that view's slot,
-				// not the process; crGen recovers its own panics,
-				// so this guards only the loop itself.
-				defer guard.Rescue("rewrite.multiViewWorker", func(err error) {})
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(views) || ctx.Err() != nil {
-						return
-					}
-					process(i)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	if err := ctx.Err(); err != nil && partialReason(err) == "" {
+		return nil
+	})
+	// A deadline stops the loop with the views claimed so far; the rest
+	// contribute nothing and the result is Partial.
+	stopped := partialReason(err)
+	if err != nil && stopped == "" {
 		return nil, err
 	}
 
 	// First failing view (in view order) wins, matching the flat scan.
 	perView := make([]int, len(views))
-	partial := PartialReason("")
+	reason := PartialReason("")
+	total := 0
 	for i := range views {
 		if err := slots[i].err; err != nil {
 			return nil, fmt.Errorf("rewrite: view %q: %w", views[i].Name, err)
 		}
-		if partial == "" && slots[i].partial != "" {
-			partial = slots[i].partial
+		if reason == "" {
+			reason = slots[i].partial
 		}
 		perView[i] = len(slots[i].crs)
+		total += perView[i]
 	}
-
-	// Global assembly: dedup in (view, enumeration) order, smallest
-	// canonical first, one redundancy-elimination pass across all views.
-	type tagged struct {
-		cr   *ContainedRewriting
-		view int
+	if reason == "" {
+		reason = stopped
 	}
-	seen := make(map[string]bool)
-	var uniq []tagged
+	crs := make([]*ContainedRewriting, 0, total)
+	from := make(map[*ContainedRewriting]int, total)
 	for i := range views {
 		for _, cr := range slots[i].crs {
-			key := cr.Rewriting.Canonical()
-			if !seen[key] {
-				seen[key] = true
-				uniq = append(uniq, tagged{cr: cr, view: i})
-			}
+			from[cr] = i
+			crs = append(crs, cr)
 		}
 	}
-	sort.SliceStable(uniq, func(i, j int) bool {
-		si, sj := uniq[i].cr.Rewriting.Size(), uniq[j].cr.Rewriting.Size()
-		if si != sj {
-			return si < sj
-		}
-		return uniq[i].cr.Rewriting.Canonical() < uniq[j].cr.Rewriting.Canonical()
-	})
-	redundant, err := markRedundant(ctx, len(uniq), func(i, j int) bool {
-		return tpq.Contained(uniq[i].cr.Rewriting, uniq[j].cr.Rewriting)
-	})
+
+	// Global assembly: dedup in (view, enumeration) order and one
+	// redundancy-elimination pass across all views.
+	res, err := assemble(ctx, crs, 0, tpq.Contained, reason)
 	if err != nil {
 		return nil, err
 	}
 	out := &MultiViewResult{
-		Union:         &tpq.Union{},
+		Union:         res.Union,
+		Contributions: make([]int, len(res.CRs)),
+		CRs:           res.CRs,
 		PerView:       perView,
 		Labeled:       labeled,
-		Partial:       partial != "",
-		PartialReason: partial,
+		Partial:       res.Partial,
+		PartialReason: res.PartialReason,
 	}
-	for i, t := range uniq {
-		if redundant[i] {
-			continue
-		}
-		t.cr.ensureCompensation()
-		out.Union.Patterns = append(out.Union.Patterns, t.cr.Rewriting)
-		out.CRs = append(out.CRs, t.cr)
-		out.Contributions = append(out.Contributions, t.view)
+	for k, cr := range res.CRs {
+		out.Contributions[k] = from[cr]
 	}
 	return out, nil
 }

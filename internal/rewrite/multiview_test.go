@@ -2,10 +2,15 @@ package rewrite
 
 import (
 	"context"
+	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
+	"qav/internal/fault"
+	"qav/internal/guard"
+	"qav/internal/names"
 	"qav/internal/tpq"
 	"qav/internal/workload"
 	"qav/internal/xmltree"
@@ -124,5 +129,55 @@ func TestQuickMultiViewDominates(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestMCRMultiViewWorkerPanicFails checks that a panic in the worker
+// loop fails the call with ErrInternal, on the serial side (one P) and
+// the pooled one alike: a swallowed panic would leave the views it hit
+// out of a union reported as complete.
+func TestMCRMultiViewWorkerPanicFails(t *testing.T) {
+	q := tpq.MustParse("//a[b]//c")
+	views := []ViewSource{
+		{Name: "a", View: tpq.MustParse("//a")},
+		{Name: "ac", View: tpq.MustParse("//a//c")},
+		{Name: "ab", View: tpq.MustParse("//a[b]")},
+	}
+	clean, err := MCRMultiView(q, views, Options{})
+	if err != nil || len(clean.CRs) == 0 {
+		t.Fatalf("clean run: %d CRs, err %v", len(clean.CRs), err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		if err := fault.Enable(&fault.Plan{Seed: 1, Injections: []fault.Injection{
+			{Point: names.FaultRewriteWorker, Action: fault.ActPanic},
+		}}); err != nil {
+			t.Fatal(err)
+		}
+		res, err := MCRMultiView(q, views, Options{})
+		fault.Disable()
+		if !errors.Is(err, guard.ErrInternal) || res != nil {
+			t.Fatalf("GOMAXPROCS=%d: result %v, err %v; want no result and ErrInternal", procs, res, err)
+		}
+	}
+}
+
+// TestMarkRedundantPanicFails checks the same for the containment
+// matrix: a panicking containment test fails markRedundant on both
+// sides of its serial threshold.
+func TestMarkRedundantPanicFails(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		redundant, err := markRedundant(context.Background(), 64, func(i, j int) bool {
+			if i == 40 {
+				panic("containment bug")
+			}
+			return false
+		})
+		if !errors.Is(err, guard.ErrInternal) || redundant != nil {
+			t.Fatalf("GOMAXPROCS=%d: redundant %v, err %v; want none and ErrInternal", procs, redundant, err)
+		}
 	}
 }

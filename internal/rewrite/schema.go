@@ -112,12 +112,7 @@ func (sc *SchemaContext) MCRWithSchemaCtx(ctx context.Context, q, v *tpq.Pattern
 	if cr == nil {
 		return &Result{Union: &tpq.Union{}}, nil
 	}
-	cr.ensureCompensation()
-	return &Result{
-		Union:                tpq.NewUnion(cr.Rewriting),
-		CRs:                  []*ContainedRewriting{cr},
-		EmbeddingsConsidered: 1,
-	}, nil
+	return assemble(ctx, []*ContainedRewriting{cr}, 1, sc.SContained, "")
 }
 
 // mcrSingle runs the efficient single-embedding pipeline shared by the
@@ -129,7 +124,7 @@ func (sc *SchemaContext) MCRWithSchemaCtx(ctx context.Context, q, v *tpq.Pattern
 // (nil, nil) when no MCR exists. The CR carries no compensation yet.
 func (sc *SchemaContext) mcrSingle(ctx context.Context, q, v *tpq.Pattern) (*ContainedRewriting, error) {
 	if q.HasWildcard() || v.HasWildcard() {
-		return nil, fmt.Errorf("rewrite: wildcard patterns are outside XP{/,//,[]}; the MCR algorithms do not support them")
+		return nil, errWildcard
 	}
 	if !sc.Schema.Satisfiable(v) || !sc.Schema.Satisfiable(q) {
 		// A view or query that can never produce answers on legal
@@ -219,142 +214,5 @@ func (l *Labeling) greedyMaximal() *Embedding {
 // opts.MaxEmbeddings), their CRs filtered by schema satisfiability and
 // schema-relative redundancy.
 func (sc *SchemaContext) MCRRecursive(q, v *tpq.Pattern, opts Options) (*Result, error) {
-	limit := opts.MaxEmbeddings
-	if limit <= 0 {
-		limit = DefaultMaxEmbeddings
-	}
-	ctx := opts.ctx()
-	if q.HasWildcard() || v.HasWildcard() {
-		return nil, fmt.Errorf("rewrite: wildcard patterns are outside XP{/,//,[]}; the MCR algorithms do not support them")
-	}
-	if !sc.Schema.Satisfiable(v) || !sc.Schema.Satisfiable(q) {
-		return &Result{Union: &tpq.Union{}}, nil
-	}
-	sp := obs.SpanFrom(ctx)
-	t := sp.Start()
-	vPrime := chase.Intelligent(v, q, sc.Sigma)
-	sp.Observe(obs.StageChase, t)
-	// Every embedding is validated and counted as it is emitted; only
-	// the first of each domain is kept for building (crGen), after
-	// the enumeration so the two stages stay apart.
-	g := newCRGen(ctx, q, v, sc)
-	var firsts []*Embedding
-	considered := 0
-	t = sp.Start()
-	labels := ComputeLabels(q, vPrime, sc.graftCut(vPrime.Output.Tag))
-	err := labels.Stream(ctx, limit, func(f *Embedding) error {
-		first, err := g.fresh(f)
-		if err != nil {
-			return err
-		}
-		if first {
-			firsts = append(firsts, f)
-		}
-		considered++
-		return nil
-	})
-	sp.Observe(obs.StageEnumerate, t)
-	// Budget/deadline overruns degrade gracefully: the embeddings
-	// streamed before the wall are built, and each CR below is
-	// individually verified S-contained, so the partial union is sound.
-	reason := PartialReason("")
-	if err != nil {
-		if reason = partialReason(err); reason == "" {
-			return nil, err
-		}
-	}
-	var crs []*ContainedRewriting
-	for i, f := range firsts {
-		if i&255 == 0 {
-			if err := ctx.Err(); err != nil {
-				if r := partialReason(err); r != "" {
-					// Deadline fired mid-build: keep what is finished.
-					reason = r
-					break
-				}
-				return nil, err
-			}
-		}
-		cr, err := g.build(f)
-		if err != nil {
-			return nil, err
-		}
-		if cr != nil {
-			crs = append(crs, cr)
-		}
-	}
-	if reason != "" {
-		return assembleSchemaPartial(crs, considered, reason), nil
-	}
-	res, err := sc.assembleSchemaResult(ctx, crs, considered)
-	if err != nil {
-		if r := partialReason(err); r != "" {
-			// Deadline inside schema-relative redundancy elimination.
-			return assembleSchemaPartial(crs, considered, r), nil
-		}
-		return nil, err
-	}
-	return res, nil
-}
-
-// assembleSchemaPartial mirrors assemblePartial for the schema path:
-// structural dedup and deterministic order only, skipping the quadratic
-// S-containment matrix. The kept CRs get their compensations here.
-func assembleSchemaPartial(crs []*ContainedRewriting, considered int, reason PartialReason) *Result {
-	seen := make(map[string]bool, len(crs))
-	res := &Result{
-		Union:                &tpq.Union{},
-		EmbeddingsConsidered: considered,
-		Partial:              true,
-		PartialReason:        reason,
-	}
-	kept := make([]*ContainedRewriting, 0, len(crs))
-	for _, cr := range crs {
-		key := cr.Rewriting.Canonical()
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		kept = append(kept, cr)
-	}
-	sortCRs(kept)
-	for _, cr := range kept {
-		cr.ensureCompensation()
-		res.CRs = append(res.CRs, cr)
-		res.Union.Patterns = append(res.Union.Patterns, cr.Rewriting)
-	}
-	return res
-}
-
-// assembleSchemaResult deduplicates and removes CRs that are S-contained
-// in another CR.
-func (sc *SchemaContext) assembleSchemaResult(ctx context.Context, crs []*ContainedRewriting, considered int) (*Result, error) {
-	seen := make(map[string]*ContainedRewriting)
-	var uniq []*ContainedRewriting
-	for _, cr := range crs {
-		key := cr.Rewriting.Canonical()
-		if seen[key] == nil {
-			seen[key] = cr
-			uniq = append(uniq, cr)
-		}
-	}
-	sortCRs(uniq)
-	sp := obs.SpanFrom(ctx)
-	t := sp.Start()
-	redundant, err := markRedundant(ctx, len(uniq), func(i, j int) bool {
-		return sc.SContained(uniq[i].Rewriting, uniq[j].Rewriting)
-	})
-	sp.Observe(obs.StageContain, t)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Union: &tpq.Union{}, EmbeddingsConsidered: considered}
-	for i, cr := range uniq {
-		if !redundant[i] {
-			cr.ensureCompensation()
-			res.CRs = append(res.CRs, cr)
-			res.Union.Patterns = append(res.Union.Patterns, cr.Rewriting)
-		}
-	}
-	return res, nil
+	return mcr(q, v, sc, opts)
 }
