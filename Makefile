@@ -15,9 +15,10 @@ test:
 race:
 	$(GO) test -race ./...
 
-# cpu runs the packages whose work splits serial-versus-pooled on
-# GOMAXPROCS (the MCR pipeline and worker loop, plan execution) at 1
-# and 2, so both sides run whatever the machine's core count.
+# cpu runs the rewrite and plan packages at GOMAXPROCS 1 and 2, so
+# both sides of rewrite's worker loop (forEach: redundancy elimination,
+# multi-view) run whatever the machine's core count; plan execution is
+# serial and runs here for its panic and cancellation tests.
 cpu:
 	$(GO) test -race -cpu 1,2 ./internal/rewrite ./internal/plan
 

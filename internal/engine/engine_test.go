@@ -350,6 +350,34 @@ func TestSlowQueryLog(t *testing.T) {
 	}
 }
 
+// TestSlowQueryStagesAddUp checks that a computed rewrite's stage
+// times add up to no more than its duration: the enumerate stage is
+// credited the enumeration's own time, not the CR builds it drives,
+// which credit buildcr and contain themselves.
+func TestSlowQueryStagesAddUp(t *testing.T) {
+	e := New(Config{SlowQueryThreshold: time.Nanosecond})
+	v := workload.Fig8View()
+	for n := 3; n <= 7; n++ {
+		if _, err := e.Rewrite(context.Background(), Request{Query: workload.Fig8Query(n), View: v, NoCache: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entries := e.SlowLog().Snapshot().Entries
+	if len(entries) != 5 {
+		t.Fatalf("%d slow-log entries, want 5", len(entries))
+	}
+	for _, entry := range entries {
+		var sum int64
+		for _, ns := range entry.StageNs {
+			sum += ns
+		}
+		if sum > entry.DurationNs {
+			t.Errorf("%s: stages sum to %d ns, %.2fx the %d ns duration: %v",
+				entry.Query, sum, float64(sum)/float64(entry.DurationNs), entry.DurationNs, entry.StageNs)
+		}
+	}
+}
+
 func TestSlowQueryLogDisabledByDefault(t *testing.T) {
 	e := New(Config{})
 	if _, err := rewriteText(e, Text{

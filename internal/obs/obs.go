@@ -144,9 +144,10 @@ func (s *Span) Load(st Stage) (count, ns int64) {
 }
 
 // StageNs returns the non-zero stage totals in nanoseconds, keyed by
-// stage name — the breakdown the slow-query log records. Under the
-// parallel pipeline stage totals are summed across workers, so they may
-// exceed the request's wall-clock duration.
+// stage name — the breakdown the slow-query log records. Stages that
+// run on several goroutines at once (MCRMultiView's per-view workers)
+// are summed across them, so only there may the totals exceed the
+// wall-clock duration.
 func (s *Span) StageNs() map[string]int64 {
 	if s == nil {
 		return nil

@@ -23,8 +23,8 @@ type SlowLog struct {
 }
 
 // A SlowEntry is one recorded outlier request. StageNs carries the
-// span's per-stage totals in nanoseconds; under the parallel pipeline
-// their sum may exceed DurationNs.
+// span's per-stage totals in nanoseconds; their sum is at most
+// DurationNs, since a request's stages never overlap.
 type SlowEntry struct {
 	Time       time.Time        `json:"time"`
 	Op         string           `json:"op"`

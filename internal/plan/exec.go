@@ -2,9 +2,7 @@ package plan
 
 import (
 	"context"
-	"runtime"
 	"slices"
-	"sync"
 
 	"qav/internal/fault"
 	"qav/internal/guard"
@@ -18,12 +16,9 @@ import (
 // chaos plan arms it; see internal/fault).
 var faultExec = fault.Register(names.FaultPlanExec)
 
-// ExecOptions tune one plan execution.
-type ExecOptions struct {
-	// Parallel bounds the number of programs executing concurrently;
-	// <= 0 means GOMAXPROCS.
-	Parallel int
-}
+// ExecOptions tune one plan execution. It has no fields: programs run
+// serially on the calling goroutine.
+type ExecOptions struct{}
 
 // ExecResult is the outcome of one plan execution.
 type ExecResult struct {
@@ -46,16 +41,17 @@ func (r *ExecResult) Nodes() []*xmltree.Node {
 	return r.Forest.resolve(r.Matches)
 }
 
-// Exec runs every program of the plan against the forest and returns
-// the deduplicated answer union in document order. Programs run
-// concurrently up to ExecOptions.Parallel, each behind panic isolation
-// (a panic in one program fails the request with a typed ErrInternal,
-// not the process). The context is polled throughout; a cancelled ctx
-// aborts with its error.
-func (p *Plan) Exec(ctx context.Context, f *Forest, opts ExecOptions) (*ExecResult, error) {
+// Exec runs the plan's programs one after another against the forest
+// and returns the deduplicated answer union in document order. The
+// whole run is panic-isolated: a panic fails the request with a typed
+// ErrInternal named plan.exec, not the process, and the scratch of the
+// run goes to the collector instead of back to the pool. The context
+// is polled throughout; a cancelled ctx aborts with its error.
+func (p *Plan) Exec(ctx context.Context, f *Forest, _ ExecOptions) (res *ExecResult, err error) {
 	sp := obs.SpanFrom(ctx)
 	start := sp.Start()
 	defer sp.Observe(obs.StagePlanExec, start)
+	defer guard.Recover(&err, "plan.exec")
 	if err := faultExec.Hit(ctx); err != nil {
 		return nil, err
 	}
@@ -64,71 +60,20 @@ func (p *Plan) Exec(ctx context.Context, f *Forest, opts ExecOptions) (*ExecResu
 	}
 	per := make([][]int32, len(p.programs))
 	scratches := make([]*scratch, len(p.programs))
-	errs := make([]error, len(p.programs))
-	if par := parallelism(opts.Parallel, len(p.programs)); par <= 1 {
-		for i, pr := range p.programs {
-			per[i], scratches[i], errs[i] = runProgram(ctx, pr, f)
-			if errs[i] != nil {
-				break
-			}
-		}
-	} else {
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, par)
-		for i, pr := range p.programs {
-			if err := ctx.Err(); err != nil {
-				break
-			}
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int, pr *program) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				// A panic in a worker must become this program's error,
-				// never a process crash: indices are disjoint, so the
-				// write needs no lock.
-				defer guard.Rescue("plan.exec", func(err error) { errs[i] = err })
-				per[i], scratches[i], errs[i] = runProgram(ctx, pr, f)
-			}(i, pr)
-		}
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
+	for i, pr := range p.programs {
+		scratches[i] = f.getScratch()
+		if per[i], err = joinForest(ctx, pr, f, true, scratches[i]); err != nil {
 			return nil, err
 		}
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	res := &ExecResult{Matches: f.union(per), Forest: f}
+	res = &ExecResult{Matches: f.union(per), Forest: f}
 	for _, sc := range scratches {
-		if sc != nil {
-			f.putScratch(sc)
-		}
+		f.putScratch(sc)
 	}
 	return res, nil
-}
-
-func parallelism(requested, programs int) int {
-	par := requested
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	if par > programs {
-		par = programs
-	}
-	return par
-}
-
-// runProgram returns the program's answer positions, ascending, with
-// the scratch they may alias, which the caller pools again once it is
-// done with the positions. A panicking run returns nothing, so its
-// scratch is never reused.
-func runProgram(ctx context.Context, pr *program, f *Forest) ([]int32, *scratch, error) {
-	sc := f.getScratch()
-	pos, err := joinForest(ctx, pr, f, true, sc)
-	return pos, sc, err
 }
 
 // joinForest runs one program as structural joins. pinRoot restricts the root

@@ -36,8 +36,7 @@ func sameNodes(got, want []*xmltree.Node) bool {
 }
 
 // diffInstance checks one (CRs, document) instance in both layouts
-// against both references, on both the serial and the parallel exec
-// path.
+// against both references.
 func diffInstance(t *testing.T, ctx context.Context, tag string, crs []*rewrite.ContainedRewriting, v *tpq.Pattern, d *xmltree.Document) {
 	t.Helper()
 	comps := rewrite.Compensations(crs)
@@ -56,15 +55,13 @@ func diffInstance(t *testing.T, ctx context.Context, tag string, crs []*rewrite.
 	if err != nil {
 		t.Fatalf("%s: index subtrees: %v", tag, err)
 	}
-	for _, par := range []int{1, 4} {
-		res, err := pl.Exec(ctx, fShared, plan.ExecOptions{Parallel: par})
-		if err != nil {
-			t.Fatalf("%s: exec par=%d: %v", tag, par, err)
-		}
-		if !sameNodes(res.Nodes(), wantShared) {
-			t.Fatalf("%s: par=%d diverges on shared forest:\n got %v\nwant %v",
-				tag, par, paths(res.Nodes()), paths(wantShared))
-		}
+	res, err := pl.Exec(ctx, fShared, plan.ExecOptions{})
+	if err != nil {
+		t.Fatalf("%s: exec: %v", tag, err)
+	}
+	if !sameNodes(res.Nodes(), wantShared) {
+		t.Fatalf("%s: diverges on shared forest:\n got %v\nwant %v",
+			tag, paths(res.Nodes()), paths(wantShared))
 	}
 
 	// Shipped layout: standalone cloned trees (the viewstore contract).
@@ -77,15 +74,13 @@ func diffInstance(t *testing.T, ctx context.Context, tag string, crs []*rewrite.
 	if err != nil {
 		t.Fatalf("%s: index forest: %v", tag, err)
 	}
-	for _, par := range []int{1, 4} {
-		res, err := pl.Exec(ctx, fShipped, plan.ExecOptions{Parallel: par})
-		if err != nil {
-			t.Fatalf("%s: exec par=%d shipped: %v", tag, par, err)
-		}
-		if !sameNodes(res.Nodes(), wantForest) {
-			t.Fatalf("%s: par=%d diverges on shipped forest:\n got %v\nwant %v",
-				tag, par, paths(res.Nodes()), paths(wantForest))
-		}
+	res, err = pl.Exec(ctx, fShipped, plan.ExecOptions{})
+	if err != nil {
+		t.Fatalf("%s: exec shipped: %v", tag, err)
+	}
+	if !sameNodes(res.Nodes(), wantForest) {
+		t.Fatalf("%s: diverges on shipped forest:\n got %v\nwant %v",
+			tag, paths(res.Nodes()), paths(wantForest))
 	}
 }
 
@@ -177,9 +172,9 @@ func TestPlanDiffFixtures(t *testing.T) {
 	}
 }
 
-// TestPlanExecCancelParallel: a cancelled context must abort the
-// parallel exec path promptly and leak no goroutines.
-func TestPlanExecCancelParallel(t *testing.T) {
+// TestPlanExecCancelMultiProgram: a cancelled context must abort a
+// four-program plan before it runs any program, leaking no goroutine.
+func TestPlanExecCancelMultiProgram(t *testing.T) {
 	defer leaktest.Check(t)()
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(3))
@@ -205,8 +200,8 @@ func TestPlanExecCancelParallel(t *testing.T) {
 	}
 	cctx, cancel := context.WithCancel(ctx)
 	cancel()
-	if _, err := pl.Exec(cctx, f, plan.ExecOptions{Parallel: 4}); err != context.Canceled {
-		t.Fatalf("parallel exec after cancel: err = %v", err)
+	if _, err := pl.Exec(cctx, f, plan.ExecOptions{}); err != context.Canceled {
+		t.Fatalf("exec after cancel: err = %v", err)
 	}
 }
 
@@ -346,7 +341,7 @@ func TestPlanExecConcurrentForest(t *testing.T) {
 				defer wg.Done()
 				for r := 0; r < 50; r++ {
 					i := (w + r) % len(plans)
-					res, err := plans[i].Exec(ctx, f, plan.ExecOptions{Parallel: 1 + w%3})
+					res, err := plans[i].Exec(ctx, f, plan.ExecOptions{})
 					if err != nil {
 						errs <- err.Error()
 						return

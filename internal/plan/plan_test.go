@@ -2,10 +2,15 @@ package plan
 
 import (
 	"context"
+	"errors"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
 
+	"qav/internal/fault"
+	"qav/internal/guard"
+	"qav/internal/names"
 	"qav/internal/tpq"
 	"qav/internal/xmltree"
 )
@@ -168,6 +173,64 @@ func TestWildcardAllBackendsAgree(t *testing.T) {
 	}
 	if !slices.Equal(res.Matches, want) {
 		t.Fatalf("structural joins %v, tree DP %v", res.Matches, want)
+	}
+}
+
+// TestExecPanicFails checks Exec's one panic rule: a panic anywhere in
+// a run fails the call with ErrInternal and no result, whatever
+// GOMAXPROCS is and however many programs the plan has, and a run that
+// panicked mid-join returns none of its scratch to the pool.
+func TestExecPanicFails(t *testing.T) {
+	ctx := context.Background()
+	doc := "<a><b><c/></b><d/></a>"
+	compile := func(exprs ...string) *Plan {
+		t.Helper()
+		ps := make([]*tpq.Pattern, len(exprs))
+		for i, e := range exprs {
+			ps[i] = tpq.MustParse(e)
+		}
+		pl, err := Compile(ctx, ps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pl
+	}
+	plans := []*Plan{compile("/a/b"), compile("/a/b[c]", "/a/d")}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		for _, pl := range plans {
+			f, err := IndexDocument(ctx, mustDoc(t, doc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := fault.Enable(&fault.Plan{Seed: 1, Injections: []fault.Injection{
+				{Point: names.FaultPlanExec, Action: fault.ActPanic},
+			}}); err != nil {
+				t.Fatal(err)
+			}
+			res, err := pl.Exec(ctx, f, ExecOptions{})
+			fault.Disable()
+			if !errors.Is(err, guard.ErrInternal) || res != nil {
+				t.Fatalf("GOMAXPROCS=%d, %d programs: result %v, err %v; want none and ErrInternal", procs, pl.Programs(), res, err)
+			}
+		}
+	}
+
+	// The second program's path names a pattern node it does not have,
+	// so its join panics after the first program ran.
+	broken := compile("/a/b[c]", "/a/d")
+	broken.programs[1].path = append(slices.Clone(broken.programs[1].path), int32(len(broken.programs[1].ops)))
+	f, err := IndexDocument(ctx, mustDoc(t, doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := broken.Exec(ctx, f, ExecOptions{})
+	if !errors.Is(err, guard.ErrInternal) || res != nil {
+		t.Fatalf("panicking join: result %v, err %v; want none and ErrInternal", res, err)
+	}
+	if sc := f.scratch.Get(); sc != nil {
+		t.Fatal("a panicking run returned scratch to the pool")
 	}
 }
 

@@ -189,7 +189,7 @@ func TestExecResultOutlivesScratch(t *testing.T) {
 	var results [][]int32
 	var wants [][]int32
 	for _, h := range held {
-		res, err := h.pl.Exec(ctx, h.f, ExecOptions{Parallel: 1})
+		res, err := h.pl.Exec(ctx, h.f, ExecOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,7 +209,7 @@ func TestExecResultOutlivesScratch(t *testing.T) {
 	}
 	run := func(k int) error {
 		h := held[k%len(held)]
-		_, err := others[k%len(others)].Exec(ctx, h.f, ExecOptions{Parallel: 1 + k%2})
+		_, err := others[k%len(others)].Exec(ctx, h.f, ExecOptions{})
 		return err
 	}
 	for k := 0; k < 50; k++ {

@@ -3,6 +3,7 @@ package rewrite
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"qav/internal/guard"
 	"qav/internal/obs"
@@ -94,8 +95,8 @@ func (cr *ContainedRewriting) VerifyContained(q *tpq.Pattern) bool {
 // kept, so the kept CRs and their representative embeddings are those
 // of building every embedding.
 //
-// fresh holds the per-enumeration domain set and must be called from
-// one goroutine; build only reads the crGen and may run concurrently.
+// fresh holds the per-enumeration domain set, so a crGen serves one
+// enumeration on one goroutine.
 type crGen struct {
 	ctx     context.Context
 	sp      *obs.Span
@@ -106,6 +107,12 @@ type crGen struct {
 
 	domains map[string]struct{}
 	key     []byte // reused domain bitset over query positions
+
+	// generateCRs' output: the CRs built, the embeddings emitted
+	// (repeated domains included) and the time spent in build.
+	crs        []*ContainedRewriting
+	considered int
+	inBuild    time.Duration
 }
 
 func newCRGen(ctx context.Context, q, base *tpq.Pattern, sc *SchemaContext) *crGen {

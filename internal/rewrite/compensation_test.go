@@ -77,8 +77,8 @@ func TestCompensationPresent(t *testing.T) {
 			check("MCR", res.CRs, res.PartialReason)
 		}
 	}
-	// Figure 8 at n = 3 stays on the serial path, n = 6 spills into
-	// the worker pool; the deadline lands at every poll in turn.
+	// Figure 8 at n = 3 and n = 6, a few and many CRs; the deadline
+	// lands at every poll in turn.
 	for _, n := range []int{3, 6} {
 		q, v := workload.Fig8Query(n), workload.Fig8View()
 		full, err := MCR(q, v, Options{})

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"qav/internal/chase"
 	"qav/internal/fault"
@@ -124,13 +125,12 @@ func partialReason(err error) PartialReason {
 // when q is not answerable using v. Every returned CR is verified
 // contained in q by homomorphism.
 //
-// Internally the enumerate → build → verify chain runs as a streaming
-// pipeline (generateCRs): embeddings are consumed as the enumeration
-// produces them, so the embedding set is never fully materialized; one
-// CR is built per embedding domain, since embeddings mapping the same
-// query nodes induce the same CR; and, on large enumerations, CR
-// construction overlaps enumeration across a bounded worker pool.
-// Results are identical to the serial order.
+// Enumerate, build and verify are one loop (generateCRs): each
+// embedding is consumed as the enumeration produces it, so the
+// embedding set is never materialized, and one CR is built per
+// embedding domain, since embeddings mapping the same query nodes
+// induce the same CR. Redundancy elimination then runs once over the
+// built CRs (assemble).
 func MCR(q, v *tpq.Pattern, opts Options) (*Result, error) {
 	return mcr(q, v, nil, opts)
 }
@@ -172,7 +172,7 @@ func mcr(q, v *tpq.Pattern, sc *SchemaContext, opts Options) (*Result, error) {
 	}
 	// The CRs are built against the original view: the compensation
 	// runs on the real materialization (Example 3).
-	crs, considered, err := generateCRs(ctx, labels, newCRGen(ctx, q, v, sc), limit)
+	crs, considered, err := generateCRs(labels, newCRGen(ctx, q, v, sc), limit)
 	reason := partialReason(err)
 	if err != nil && reason == "" {
 		return nil, err
@@ -180,215 +180,67 @@ func mcr(q, v *tpq.Pattern, sc *SchemaContext, opts Options) (*Result, error) {
 	return assemble(ctx, crs, considered, contained, reason)
 }
 
-// crPipelineBatch is the streaming pipeline's serial threshold: an
-// enumeration that finishes within this many embedding domains is
-// processed inline (no goroutines, no channels); anything larger spills
-// into the bounded worker pool.
-const crPipelineBatch = 16
-
-// seqEmb tags an embedding with its enumeration sequence number so the
-// pipeline can restore deterministic order.
-type seqEmb struct {
-	seq int
-	f   *Embedding
-}
-
-type seqCR struct {
-	seq int
-	cr  *ContainedRewriting
-}
-
 // generateCRs fuses embedding enumeration with CR construction and
 // containment verification, one CR per embedding domain (g): every
 // embedding is validated and counted as the enumeration emits it, and
-// only the first of each domain goes on to be built. A CR that g drops
-// (under a schema, an unsatisfiable one) is left out. The first
-// crPipelineBatch of those are buffered: a short stream is then handled
-// serially, while a longer one starts GOMAXPROCS workers that build and
-// verify CRs concurrently with the ongoing enumeration, over a bounded
-// channel. Output order (and thus every downstream result, including
-// which embedding represents a structurally duplicated CR) matches the
-// serial enumeration order. The CRs carry no compensation yet;
-// assemble extracts it for the CRs it keeps.
+// the first of each domain is built and verified on the spot, after a
+// poll of g's context, so a deadline stops the loop within one CR. A
+// CR that g drops (under a schema, an unsatisfiable one) is left out.
+// The CRs come out in enumeration order and carry no compensation yet;
+// assemble extracts it for the CRs it keeps. The enumerate stage is
+// credited the Stream time less the time spent in build, which credits
+// its own buildcr and contain stages, so the stages add up to no more
+// than the call.
 //
 // Partial contract: when the returned error is an embedding-budget
 // overrun or context.DeadlineExceeded, the returned CRs are the sound
 // subset completed before the wall (each verified contained in q) and
 // the caller may degrade into a Partial result. On any other error the
 // CR slice is nil.
-func generateCRs(ctx context.Context, labels *Labeling, g *crGen, limit int) ([]*ContainedRewriting, int, error) {
-	// Stage accounting: a nil span costs a nil check per credit and no
-	// clock reads. Span credits are atomic, so the parallel workers
-	// below record into it directly.
-	sp := obs.SpanFrom(ctx)
-
-	pctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		head       []*Embedding // buffered prefix; stays serial if the stream ends early
-		in         chan seqEmb
-		wg         sync.WaitGroup
-		mu         sync.Mutex
-		out        []seqCR
-		werr       error
-		considered int // embeddings emitted, repeated domains included
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if werr == nil {
-			werr = err
-		}
-		mu.Unlock()
-		cancel()
+func generateCRs(labels *Labeling, g *crGen, limit int) ([]*ContainedRewriting, int, error) {
+	t := g.sp.Start()
+	err := labels.Stream(g.ctx, limit, g.emit)
+	if !t.IsZero() {
+		g.sp.Add(obs.StageEnumerate, time.Since(t)-g.inBuild)
 	}
-	worker := func() {
-		defer wg.Done()
-		// Last-resort isolation: build recovers its own panics, so this
-		// fires only for bugs in the worker loop itself; the flight
-		// fails and the pipeline unblocks via the cancel in fail, rather
-		// than the process dying.
-		defer guard.Rescue("rewrite.mcrWorker", fail)
-		for e := range in {
-			if pctx.Err() != nil {
-				continue // drain after cancellation
-			}
-			if err := faultWorker.Hit(pctx); err != nil {
-				fail(err)
-				continue
-			}
-			cr, err := g.build(e.f)
-			if err != nil {
-				fail(err)
-				continue
-			}
-			if cr == nil {
-				continue
-			}
-			mu.Lock()
-			out = append(out, seqCR{e.seq, cr})
-			mu.Unlock()
-		}
-	}
-	seq := 0
-	send := func(f *Embedding) error {
-		select {
-		case in <- seqEmb{seq, f}:
-			seq++
-			return nil
-		case <-pctx.Done():
-			return pctx.Err()
-		}
-	}
-	emit := func(f *Embedding) error {
-		first, err := g.fresh(f)
-		if err != nil {
-			return err
-		}
-		considered++
-		if !first {
-			return nil
-		}
-		if in == nil {
-			head = append(head, f)
-			if len(head) < crPipelineBatch {
-				return nil
-			}
-			// The enumeration is large enough to amortize the pipeline:
-			// start the workers and spill the buffered prefix.
-			workers := runtime.GOMAXPROCS(0)
-			in = make(chan seqEmb, 2*workers)
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go worker()
-			}
-			for _, h := range head {
-				if err := send(h); err != nil {
-					return err
-				}
-			}
-			head = nil
-			return nil
-		}
-		return send(f)
-	}
-
-	// The Stream call is the enumeration driver; in pipeline mode its
-	// wall time overlaps the workers' buildcr/contain time, so stage
-	// totals may sum past the request's duration.
-	t := sp.Start()
-	streamErr := labels.Stream(ctx, limit, emit)
-	sp.Observe(obs.StageEnumerate, t)
-
-	if in == nil {
-		// Serial path: every domain fit in the head buffer.
-		if streamErr != nil && partialReason(streamErr) == "" {
-			return nil, 0, streamErr
-		}
-		crs := make([]*ContainedRewriting, 0, len(head))
-		for _, f := range head {
-			// On a budget/deadline overrun, still finish the buffered
-			// prefix (bounded: at most crPipelineBatch items) so the
-			// partial union is as large as the enumeration allowed; a
-			// live stream keeps honoring ctx per item, and a deadline
-			// keeps the CRs finished before it.
-			if streamErr == nil {
-				if err := ctx.Err(); err != nil {
-					if partialReason(err) != "" {
-						return crs, considered, err
-					}
-					return nil, 0, err
-				}
-			}
-			cr, err := g.build(f)
-			if err != nil {
-				return nil, 0, err
-			}
-			if cr != nil {
-				crs = append(crs, cr)
-			}
-		}
-		return crs, considered, streamErr
-	}
-
-	close(in)
-	wg.Wait()
-	mu.Lock()
-	err := werr
-	mu.Unlock()
-	collect := func() []*ContainedRewriting {
-		sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
-		crs := make([]*ContainedRewriting, len(out))
-		for i, s := range out {
-			crs[i] = s.cr
-		}
-		return crs
-	}
-	switch {
-	case err != nil:
-		// A worker failure wins over the stream error: the stream aborts
-		// with pctx's cancellation, which is a symptom, not the cause.
-		return nil, 0, err
-	case streamErr != nil:
-		if partialReason(streamErr) != "" {
-			// Workers drained whatever was already in flight; their
-			// completed CRs are the sound subset.
-			return collect(), considered, streamErr
-		}
-		return nil, 0, streamErr
-	}
-	if err := ctx.Err(); err != nil {
-		if partialReason(err) != "" {
-			return collect(), considered, err
-		}
+	if err != nil && partialReason(err) == "" {
 		return nil, 0, err
 	}
-	return collect(), considered, nil
+	return g.crs, g.considered, err
+}
+
+// emit is generateCRs' step for one emitted embedding.
+func (g *crGen) emit(f *Embedding) error {
+	first, err := g.fresh(f)
+	if err != nil {
+		return err
+	}
+	g.considered++
+	if !first {
+		return nil
+	}
+	if err := g.ctx.Err(); err != nil {
+		return err
+	}
+	t := g.sp.Start()
+	cr, err := g.build(f)
+	if !t.IsZero() {
+		g.inBuild += time.Since(t)
+	}
+	if err != nil {
+		return err
+	}
+	if cr != nil {
+		g.crs = append(g.crs, cr)
+	}
+	return nil
 }
 
 // assemble is the one tail of every MCR entry point: by Lemma 1 the
 // MCR is the irredundant union of the verified CRs. It deduplicates the
-// CRs by canonical form (the first of each form wins, so the
-// representative embedding is the earliest one), orders them smallest
+// CRs by canonical form in crs's own array (dedupCRs: the first of each
+// form wins, so the representative embedding is the earliest one),
+// orders them smallest
 // first (sortCRs) and, unless reason already marks the result Partial,
 // drops every CR contained in another under contained — plain or
 // schema-relative — through markRedundant, credited to the contain
@@ -402,14 +254,7 @@ func generateCRs(ctx context.Context, labels *Labeling, g *crGen, limit int) ([]
 // overlap — and a complete result is irredundant. Every CR was verified
 // contained in the query on its own, so either union is sound.
 func assemble(ctx context.Context, crs []*ContainedRewriting, considered int, contained func(a, b *tpq.Pattern) bool, reason PartialReason) (*Result, error) {
-	seen := make(map[string]bool, len(crs))
-	uniq := make([]*ContainedRewriting, 0, len(crs))
-	for _, cr := range crs {
-		if key := cr.Rewriting.Canonical(); !seen[key] {
-			seen[key] = true
-			uniq = append(uniq, cr)
-		}
-	}
+	uniq := dedupCRs(crs)
 	sortCRs(uniq)
 	var redundant []bool
 	if reason == "" && len(uniq) > 1 {
@@ -443,6 +288,22 @@ func assemble(ctx context.Context, crs []*ContainedRewriting, considered int, co
 	// or a cached result would keep every dropped CR reachable.
 	clear(uniq[len(res.CRs):])
 	return res, nil
+}
+
+// dedupCRs keeps the first CR of each canonical form, in order,
+// filtering crs in place; the dropped tail is cleared so nothing keeps
+// it reachable.
+func dedupCRs(crs []*ContainedRewriting) []*ContainedRewriting {
+	seen := make(map[string]bool, len(crs))
+	uniq := crs[:0]
+	for _, cr := range crs {
+		if key := cr.Rewriting.Canonical(); !seen[key] {
+			seen[key] = true
+			uniq = append(uniq, cr)
+		}
+	}
+	clear(crs[len(uniq):])
+	return uniq
 }
 
 // NaiveMCR is the brute-force baseline used as ground truth in tests

@@ -77,10 +77,11 @@ func BenchmarkMCRCold(b *testing.B) {
 }
 
 // mcrColdMaxAllocs bounds the mean allocations of one MCR over the
-// first 500 cold keys, which take 281. Building, verifying and
-// extracting the compensation of a CR for every embedding instead of
-// every domain's first one, and enumerating through a map, takes 439.
-const mcrColdMaxAllocs = 320
+// first 500 cold keys, which take 262 (270 under -race). Building,
+// verifying and extracting the compensation of a CR for every
+// embedding instead of every domain's first one, and enumerating
+// through a map, takes 439.
+const mcrColdMaxAllocs = 285
 
 // TestMCRColdAllocs guards the cost of a cache-missing MCR in
 // allocations, which track its bytes and its collector work.

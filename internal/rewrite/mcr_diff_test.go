@@ -15,13 +15,13 @@ import (
 	"qav/internal/workload"
 )
 
-// referenceMCR is the pre-pipeline MCR path kept for differential
+// referenceMCR is the materializing MCR path kept for differential
 // testing: materialize every useful embedding with the frozen
 // map-based enumerator (streamRef), build each CR with its compensation
 // and verify it serially — one CR per embedding, no domain sharing —
 // then assemble. Past the embedding budget it assembles the Partial
 // union of the embeddings enumerated before the wall. The streaming
-// pipeline must produce exactly this result.
+// loop must produce exactly this result.
 func referenceMCR(q, v *tpq.Pattern, limit int) (*Result, error) {
 	ctx := context.Background()
 	labels := ComputeLabels(q, v, nil)
@@ -159,10 +159,9 @@ func sameStrings(a, b []string) bool {
 	return true
 }
 
-// TestMCRMatchesReference checks the streaming parallel pipeline
-// against the materialize-then-build reference on random instances and
-// composed keys:
-// identical disjunct sets, identical embedding counts, and the same
+// TestMCRMatchesReference checks the streaming loop against the
+// materialize-then-build reference on random instances and composed
+// keys: identical disjunct sets, identical embedding counts, and the same
 // kept CRs with the same representative embeddings and compensations.
 func TestMCRMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
@@ -191,7 +190,7 @@ func TestMCRMatchesReference(t *testing.T) {
 				got.EmbeddingsConsidered, want.EmbeddingsConsidered, q.Canonical(), v.Canonical())
 		}
 		if !sameStrings(disjunctSet(got), disjunctSet(want)) {
-			t.Fatalf("union mismatch for q=%s v=%s:\n  pipeline:  %v\n  reference: %v",
+			t.Fatalf("union mismatch for q=%s v=%s:\n  loop:      %v\n  reference: %v",
 				q.Canonical(), v.Canonical(), disjunctSet(got), disjunctSet(want))
 		}
 		if diff := sameCRs(got, want); diff != "" {
@@ -205,8 +204,7 @@ func TestMCRMatchesReference(t *testing.T) {
 }
 
 // TestMCRMatchesReferenceExponential runs the differential check on the
-// Figure 8 family, where the enumeration is large enough (2^n + extras)
-// to engage the parallel arm of the pipeline.
+// Figure 8 family, where the enumeration is exponential (2^n + extras).
 func TestMCRMatchesReferenceExponential(t *testing.T) {
 	v := workload.Fig8View()
 	for n := 2; n <= 5; n++ {
@@ -241,7 +239,7 @@ func TestMCRMatchesReferenceExponential(t *testing.T) {
 	}
 }
 
-// TestMCRAgreesWithNaive cross-checks the optimized pipeline against the
+// TestMCRAgreesWithNaive cross-checks the optimized loop against the
 // brute-force baseline, which enumerates all partial matchings rather
 // than useful embeddings.
 func TestMCRAgreesWithNaive(t *testing.T) {
@@ -268,7 +266,7 @@ func TestMCRAgreesWithNaive(t *testing.T) {
 // TestMCRConcurrentSharedPatterns runs many MCR computations over the
 // same shared query/view patterns from concurrent goroutines; under
 // -race this verifies that the interval-label caches and the streaming
-// pipeline never write to shared pattern state.
+// loop never write to shared pattern state.
 func TestMCRConcurrentSharedPatterns(t *testing.T) {
 	v := workload.Fig8View()
 	q := workload.Fig8Query(4)
@@ -299,12 +297,12 @@ func TestMCRConcurrentSharedPatterns(t *testing.T) {
 }
 
 // TestMCRStreamCancellation checks that cancelling the context aborts
-// the streaming pipeline promptly with the context's error, and that
-// the worker pool it may have started is fully torn down.
+// the streaming loop promptly with the context's error and leaves no
+// goroutine behind.
 func TestMCRStreamCancellation(t *testing.T) {
 	defer leaktest.Check(t)()
 
-	// Cancelled upfront: the stream aborts before any worker starts.
+	// Cancelled upfront: the stream aborts before any CR is built.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	q := workload.Fig8Query(7)
@@ -314,9 +312,7 @@ func TestMCRStreamCancellation(t *testing.T) {
 	}
 
 	// Cancelled mid-flight: the exponential Figure 8 instance at n=12
-	// is large enough that the pipeline workers are running when the
-	// cancel lands; they must all drain (the deferred leak check is
-	// the assertion).
+	// is still enumerating and building when the cancel lands.
 	ctx, cancel = context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(10 * time.Millisecond)

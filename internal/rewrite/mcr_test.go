@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"qav/internal/obs"
 	"qav/internal/tpq"
 	"qav/internal/workload"
 	"qav/internal/xmltree"
@@ -392,7 +393,7 @@ func TestAssembleDropsRedundantCRs(t *testing.T) {
 	dropped := 0
 	for i := 0; i < 300; i++ {
 		q, v := composedKey(t, rng)
-		crs, considered, err := generateCRs(ctx, ComputeLabels(q, v, nil), newCRGen(ctx, q, v, nil), DefaultMaxEmbeddings)
+		crs, considered, err := generateCRs(ComputeLabels(q, v, nil), newCRGen(ctx, q, v, nil), DefaultMaxEmbeddings)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -417,4 +418,25 @@ func TestAssembleDropsRedundantCRs(t *testing.T) {
 		t.Fatal("no key had a redundant CR to drop")
 	}
 	t.Logf("%d of 300 keys dropped redundant CRs", dropped)
+}
+
+// TestMCRDeadlineStopsBuilds checks that a deadline stops CR
+// construction within one CR: the context is polled before every
+// build, so a deadline landing on the k-th poll leaves at most k CRs
+// built, however far apart the enumeration's own polls are.
+func TestMCRDeadlineStopsBuilds(t *testing.T) {
+	q, v := workload.Fig8Query(7), workload.Fig8View()
+	for k := 0; k <= 64; k += 4 {
+		sp := obs.NewSpan()
+		res, err := MCR(q, v, Options{Context: obs.WithSpan(deadlineAfter(k), sp)})
+		if err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		if !res.Partial {
+			t.Fatalf("k=%d: result not Partial", k)
+		}
+		if built, _ := sp.Load(obs.StageBuildCR); built > int64(k) {
+			t.Fatalf("k=%d: %d CRs built after the deadline landed", k, built)
+		}
+	}
 }

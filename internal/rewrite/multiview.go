@@ -82,10 +82,11 @@ type viewCRs struct {
 //     all, and for a '//'-rooted query exactly the trivial CR (the
 //     whole query grafted below the view output), which is synthesized
 //     directly without labeling;
-//   - surviving candidates stream their per-view CRs through the
-//     bounded worker loop (forEach), each worker reusing the shared
-//     query side and honoring the per-view embedding budget and the
-//     context's deadline; a panic in any view fails the call;
+//   - each surviving candidate runs generateCRs, MCR's loop, on the
+//     bounded worker loop (forEach), reusing the shared query side and
+//     honoring the per-view embedding budget and the context's
+//     deadline, and keeps its first CR of each canonical form; a panic
+//     in any view fails the call;
 //   - redundancy elimination runs once, globally (assemble) —
 //     equivalent to the baseline's per-view-then-global elimination
 //     because containment is transitive and markRedundant's criterion
@@ -154,21 +155,8 @@ func MCRMultiView(q *tpq.Pattern, views []ViewSource, opts Options) (*MultiViewR
 		tl := sp.Start()
 		labels := qs.LabelsFor(v)
 		sp.Observe(obs.StageBatchChase, tl)
-		g := newCRGen(ctx, q, v, nil)
-		seen := make(map[string]bool)
-		te := sp.Start()
-		err := labels.Stream(ctx, limit, func(f *Embedding) error {
-			cr, err := g.next(f)
-			if err != nil || cr == nil {
-				return err
-			}
-			if key := cr.Rewriting.Canonical(); !seen[key] {
-				seen[key] = true
-				s.crs = append(s.crs, cr)
-			}
-			return nil
-		})
-		sp.Observe(obs.StageEnumerate, te)
+		crs, _, err := generateCRs(labels, newCRGen(ctx, q, v, nil), limit)
+		s.crs = dedupCRs(crs)
 		return err
 	}
 	err := forEach(ctx, len(views), 2, "rewrite.multiViewWorker", func(i int) error {

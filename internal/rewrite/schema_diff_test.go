@@ -12,7 +12,7 @@ import (
 )
 
 // referenceRecursive is the frozen serial §5 path MCRRecursive ran
-// before it shared MCR's pipeline: enumerate every useful embedding into
+// before it shared MCR's loop: enumerate every useful embedding into
 // the chased view first, keeping the first of each domain, then build
 // and verify those in enumeration order, then assemble. It is the
 // oracle of TestMCRRecursiveMatchesReference.
@@ -96,12 +96,12 @@ func referenceRecursive(sc *SchemaContext, q, v *tpq.Pattern, opts Options) (*Re
 }
 
 // TestMCRRecursiveMatchesReference pins MCRRecursive, now MCR's
-// pipeline under a schema, to the frozen serial §5 loop: the same CRs in
+// loop under a schema, to the frozen serial §5 loop: the same CRs in
 // the same order, with the same rewritings, compensations and
 // representative embeddings, and the same embedding count. The Figure
-// 15 family past k = 3 enumerates more than crPipelineBatch domains, so
-// the worker pool builds them; the random DAG schemas are forced down
-// §5 although the recursion-free algorithm would serve them.
+// 15 family grows to 64 CRs at k = 6; the random DAG schemas are
+// forced down §5 although the recursion-free algorithm would serve
+// them.
 func TestMCRRecursiveMatchesReference(t *testing.T) {
 	check := func(what string, sc *SchemaContext, q, v *tpq.Pattern, opts Options) int {
 		t.Helper()
